@@ -17,7 +17,11 @@ resolved at emit time.
   chains,
 * serialization appends into one shared ``bytearray``; derived length fields
   are emitted as zero placeholders and back-patched in place once their
-  region has been measured (no :class:`~repro.wire.pieces.PieceList`).
+  region has been measured (no :class:`~repro.wire.pieces.PieceList`),
+* field paths of the one-key, two-key and ``list[i].key`` shapes are walked
+  inline; deeper paths call the shared
+  :func:`repro.core.fieldpath.accessor` bound as module constants, so the
+  emitted module imports :mod:`repro.core.fieldpath`.
 
 The emitted module raises ``GeneratedCodecError`` carrying the *same* raw
 message, offset and node identity as the interpreted runtime's
@@ -157,6 +161,7 @@ class _SpecEmitter:
         self._tables: dict[bytes, str] = {}
         self._zeros: set[int] = set()
         self._resolvers: dict[tuple, int] = {}
+        self._accessors: dict[FieldPath, str] = {}
         self._needs: set[str] = set()
 
     # -- writer ---------------------------------------------------------------
@@ -192,6 +197,16 @@ class _SpecEmitter:
     def zero_const(self, width: int) -> str:
         self._zeros.add(width)
         return f"_Z{width}"
+
+    def accessor_call(self, path: FieldPath, loops: list[str]) -> tuple[str, str]:
+        """Module constant holding the shared accessor of ``path``, plus the
+        source of the loop indices that bind its INDEX markers."""
+        name = self._accessors.get(path)
+        if name is None:
+            name = f"_A{len(self._accessors)}"
+            self._accessors[path] = name
+        bound = loops[:path.index_arity()]
+        return name, f"({bound[0]},)" if len(bound) == 1 else f"({', '.join(bound)})"
 
     def resolver_id(self, width: int, endian: str, chain: tuple[ValueOp, ...]) -> int:
         key = (width, endian, chain)
@@ -248,13 +263,7 @@ class _SpecEmitter:
             return f"({literal} % ({', '.join(args)},))"
         return literal
 
-    def steps_literal(self, bound: list[tuple[str, str]]) -> str:
-        tokens = [token for _, token in bound]
-        if len(tokens) == 1:
-            return f"({tokens[0]},)"
-        return "(" + ", ".join(tokens) + ")"
-
-    # -- message accessors (inline fast shapes + generic fallback) ------------
+    # -- message accessors (inline fast shapes + shared accessor) -------------
 
     def emit_get(self, dst: str, path: FieldPath, loops: list[str],
                  src: str = "message") -> None:
@@ -279,8 +288,8 @@ class _SpecEmitter:
             self.w("else:")
             self.w(f"    {dst} = None")
             return
-        self._needs.add("paths")
-        self.w(f"{dst} = _get_path({src}, {self.steps_literal(bound)})")
+        name, indices = self.accessor_call(path, loops)
+        self.w(f"{dst} = {name}.get({src}, {indices})")
 
     def emit_set(self, path: FieldPath, loops: list[str], value: str,
                  dst: str = "msg") -> None:
@@ -313,8 +322,8 @@ class _SpecEmitter:
             self.w(f"    {c}[{iv}] = {d}")
             self.w(f"{d}[{bound[2][1]}] = {value}")
             return
-        self._needs.add("paths")
-        self.w(f"_set_path({dst}, {self.steps_literal(bound)}, {value})")
+        name, indices = self.accessor_call(path, loops)
+        self.w(f"{name}.set({dst}, {indices}, {value})")
 
     def emit_list_init(self, path: FieldPath, loops: list[str],
                        dst: str = "msg") -> None:
@@ -324,8 +333,8 @@ class _SpecEmitter:
             self.w(f"if {key} not in {dst}:")
             self.w(f"    {dst}[{key}] = []")
             return
-        self._needs.add("paths")
-        self.w(f"_ensure_list({dst}, {self.steps_literal(bound)})")
+        name, indices = self.accessor_call(path, loops)
+        self.w(f"{name}.init_list({dst}, {indices})")
 
     # ======================================================================
     # parse emission
@@ -1342,6 +1351,10 @@ class _SpecEmitter:
         chunks = ["", "import random as _random"]
         if "struct" in needs:
             chunks.append("import struct as _struct")
+        if self._accessors:
+            chunks.append("")
+            chunks.append("from repro.core.fieldpath import INDEX as _INDEX")
+            chunks.append("from repro.core.fieldpath import accessor as _accessor")
         chunks.append("""
 
 class GeneratedCodecError(Exception):
@@ -1412,67 +1425,6 @@ def _mirror(out, mark, pend):
         if position >= mark:
             slot[0] = mark + end - position - slot[1]
             slot[2] = not slot[2]""")
-        if "paths" in needs:
-            chunks.append("""
-
-def _get_path(data, steps):
-    container = data
-    for step in steps:
-        if isinstance(step, str):
-            if not isinstance(container, dict) or step not in container:
-                return None
-        else:
-            if not isinstance(container, list) or not 0 <= step < len(container):
-                return None
-        container = container[step]
-    return container
-
-
-def _set_path(data, steps, value):
-    container = data
-    last = len(steps) - 1
-    for position in range(last):
-        step = steps[position]
-        next_step = steps[position + 1]
-        if isinstance(step, str):
-            existing = container.get(step) if isinstance(container, dict) else None
-            if isinstance(existing, (dict, list)):
-                container = existing
-            else:
-                created = [] if isinstance(next_step, int) else {}
-                container[step] = created
-                container = created
-        else:
-            while len(container) <= step:
-                container.append(None)
-            existing = container[step]
-            if isinstance(existing, (dict, list)):
-                container = existing
-            else:
-                created = [] if isinstance(next_step, int) else {}
-                container[step] = created
-                container = created
-    step = steps[last]
-    if isinstance(step, str):
-        container[step] = value
-    else:
-        while len(container) <= step:
-            container.append(None)
-        container[step] = value
-
-
-def _ensure_list(data, steps):
-    container = data
-    for step in steps:
-        if isinstance(step, str):
-            if not isinstance(container, dict) or step not in container:
-                _set_path(data, steps, [])
-                return
-        else:
-            if not isinstance(container, list) or not 0 <= step < len(container):
-                _set_path(data, steps, [])
-                return
-        container = container[step]""")
         if "chains" in needs:
             chunks.append("""
 
@@ -1552,6 +1504,10 @@ def _enc_value(value, kind, size, endian, name, delimiter):
             lines.append(f"{name} = {table!r}")
         for width in sorted(self._zeros):
             lines.append(f"_Z{width} = bytes({width})")
+        for path, name in self._accessors.items():
+            tokens = ["_INDEX" if step is INDEX else repr(step) for step in path]
+            steps = f"({tokens[0]},)" if len(tokens) == 1 else f"({', '.join(tokens)})"
+            lines.append(f"{name} = _accessor({steps})")
         if self._resolvers:
             lines.append("")
             lines.append("# Length-slot resolvers: chain applied, value reduced")

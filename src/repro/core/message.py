@@ -18,7 +18,17 @@ import copy as _copy
 from typing import Any, Iterator
 
 from .errors import MessageError
-from .fieldpath import INDEX, FieldPath
+from .fieldpath import Accessor, FieldPath, accessor
+
+_ABSENT = object()
+
+
+def _concrete(path: FieldPath | str) -> Accessor:
+    """The shared accessor of ``path``, which must hold no unbound index."""
+    found = accessor(path)
+    if not found.path.is_concrete:
+        raise MessageError(f"path {found.path} still contains unbound indices")
+    return found
 
 
 class Message:
@@ -53,62 +63,22 @@ class Message:
 
     def get(self, path: FieldPath | str, default: Any = None) -> Any:
         """Value stored at ``path`` or ``default`` when absent."""
-        resolved = self._concrete(path)
-        container: Any = self._data
-        for step in resolved.steps:
-            if isinstance(step, str):
-                if not isinstance(container, dict) or step not in container:
-                    return default
-                container = container[step]
-            else:
-                if not isinstance(container, list) or not 0 <= step < len(container):
-                    return default
-                container = container[step]
-        return container
+        return _concrete(path).get(self._data, (), default)
 
     def has(self, path: FieldPath | str) -> bool:
         """True when a value (possibly ``None``) exists at ``path``."""
-        sentinel = object()
-        return self.get(path, sentinel) is not sentinel
+        return _concrete(path).get(self._data, (), _ABSENT) is not _ABSENT
 
     def set(self, path: FieldPath | str, value: Any) -> None:
         """Store ``value`` at ``path``, creating intermediate containers as needed."""
-        resolved = self._concrete(path)
-        if not resolved:
-            raise MessageError("cannot assign the message root; use from_dict instead")
-        container: Any = self._data
-        steps = resolved.steps
-        last = len(steps) - 1
-        for position in range(last):
-            step = steps[position]
-            if isinstance(step, str):
-                if not isinstance(container, dict):
-                    raise MessageError(f"expected a dict at {steps[:position]!r}")
-                container = self._descend_dict(container, step, steps[position + 1])
-            else:
-                if not isinstance(container, list):
-                    raise MessageError(f"expected a list at {steps[:position]!r}")
-                while len(container) <= step:
-                    container.append(None)
-                container = self._descend_list(container, step, steps[position + 1])
-        step = steps[last]
-        if isinstance(step, str):
-            if not isinstance(container, dict):
-                raise MessageError(f"expected a dict at {steps[:last]!r}")
-            container[step] = value
-        else:
-            if not isinstance(container, list):
-                raise MessageError(f"expected a list at {steps[:last]!r}")
-            while len(container) <= step:
-                container.append(None)
-            container[step] = value
+        _concrete(path).set(self._data, (), value)
 
     def delete(self, path: FieldPath | str) -> None:
         """Remove the value at ``path`` (no-op when absent)."""
-        resolved = self._concrete(path)
+        resolved = _concrete(path).path
         if not resolved:
             raise MessageError("cannot delete the message root")
-        parent = self.get(resolved.parent(), None) if len(resolved) > 1 else self._data
+        parent = accessor(resolved.parent()).get(self._data, ())
         last = resolved.steps[-1]
         if isinstance(parent, dict) and isinstance(last, str):
             parent.pop(last, None)
@@ -117,11 +87,12 @@ class Message:
 
     def list_length(self, path: FieldPath | str) -> int:
         """Number of elements of the list stored at ``path`` (0 when absent)."""
-        value = self.get(path)
+        found = _concrete(path)
+        value = found.get(self._data, ())
         if value is None:
             return 0
         if not isinstance(value, list):
-            raise MessageError(f"field {FieldPath.of(path)} is not a list")
+            raise MessageError(f"field {found.path} is not a list")
         return len(value)
 
     # -- iteration and export ---------------------------------------------------
@@ -143,33 +114,6 @@ class Message:
                 yield from self._walk(prefix.child(index), item)
         else:
             yield prefix, value
-
-    # -- helpers ----------------------------------------------------------------
-
-    @staticmethod
-    def _concrete(path: FieldPath | str) -> FieldPath:
-        resolved = FieldPath.of(path)
-        if not resolved.is_concrete:
-            raise MessageError(f"path {resolved} still contains unbound indices")
-        return resolved
-
-    @staticmethod
-    def _descend_dict(container: dict, step: str, next_step: Any) -> Any:
-        existing = container.get(step)
-        if isinstance(existing, (dict, list)):
-            return existing
-        created: Any = [] if isinstance(next_step, int) or next_step is INDEX else {}
-        container[step] = created
-        return created
-
-    @staticmethod
-    def _descend_list(container: list, step: int, next_step: Any) -> Any:
-        existing = container[step]
-        if isinstance(existing, (dict, list)):
-            return existing
-        created: Any = [] if isinstance(next_step, int) or next_step is INDEX else {}
-        container[step] = created
-        return created
 
     # -- dunder protocol ---------------------------------------------------------
 

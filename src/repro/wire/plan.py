@@ -41,8 +41,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.boundary import BoundaryKind
-from ..core.errors import MessageError, SerializationError
-from ..core.fieldpath import INDEX, FieldPath
+from ..core.errors import SerializationError
+from ..core.fieldpath import FieldPath, accessor
 from ..core.graph import FormatGraph
 from ..core.node import Node, NodeType
 from ..core.values import (
@@ -278,239 +278,6 @@ def _compile_encode(node: Node) -> Callable[[object], bytes]:
 
 
 # ---------------------------------------------------------------------------
-# compiled origin accessors
-# ---------------------------------------------------------------------------
-#
-# The parser stores every decoded value at its node's origin path and the
-# serializer reads every terminal value from it — once per terminal per
-# message.  Navigating through FieldPath.resolve + Message.get/set costs a
-# path allocation and a generically dispatched walk per access; the closures
-# below bind the path's steps at compile time and read the repetition indices
-# straight off the live index stack (leftmost INDEX marker ↔ outermost
-# repetition, exactly like FieldPath.resolve).
-
-
-def _bind_steps(steps: tuple, indices: list[int], path: FieldPath) -> list:
-    """Replace the INDEX markers of ``steps`` with the live repetition indices."""
-    bound = list(steps)
-    cursor = 0
-    for position, step in enumerate(bound):
-        if step is INDEX:
-            if cursor >= len(indices):
-                raise MessageError(
-                    f"cannot resolve {path}: needs more than {len(indices)} bound indices"
-                )
-            bound[position] = indices[cursor]
-            cursor += 1
-    return bound
-
-
-def _compile_getter(path: FieldPath) -> Callable[[dict, list[int]], object]:
-    """Equivalent of ``message.get(path.resolve(indices))`` (``None`` if absent)."""
-    steps = path.steps
-    if len(steps) == 1 and isinstance(steps[0], str):
-        key = steps[0]
-
-        def get_flat(data: dict, indices: list[int]) -> object:
-            return data.get(key)
-
-        return get_flat
-
-    if len(steps) == 2 and isinstance(steps[0], str) and isinstance(steps[1], str):
-        first, second = steps
-
-        def get_nested(data: dict, indices: list[int]) -> object:
-            container = data.get(first)
-            if not isinstance(container, dict):
-                return None
-            return container.get(second)
-
-        return get_nested
-
-    if (len(steps) == 3 and isinstance(steps[0], str)
-            and steps[1] is INDEX and isinstance(steps[2], str)):
-        # The repetition-element shape (`headers[*].name`) — once per element
-        # terminal per message, worth a dedicated closure.
-        outer, _, inner = steps
-
-        def get_element(data: dict, indices: list[int]) -> object:
-            if not indices:
-                raise MessageError(
-                    f"cannot resolve {path}: needs more than 0 bound indices"
-                )
-            index = indices[0]
-            container = data.get(outer)
-            if not isinstance(container, list) or not 0 <= index < len(container):
-                return None
-            entry = container[index]
-            if not isinstance(entry, dict):
-                return None
-            return entry.get(inner)
-
-        return get_element
-
-    def get(data: dict, indices: list[int]) -> object:
-        container: object = data
-        cursor = 0
-        for position, step in enumerate(steps):
-            if step is INDEX:
-                if cursor >= len(indices):
-                    raise MessageError(
-                        f"cannot resolve {path}: needs more than "
-                        f"{len(indices)} bound indices"
-                    )
-                step = indices[cursor]
-                cursor += 1
-            if isinstance(step, str):
-                if not isinstance(container, dict) or step not in container:
-                    return None
-                container = container[step]
-            else:
-                if not isinstance(container, list) or not 0 <= step < len(container):
-                    return None
-                container = container[step]
-        return container
-
-    return get
-
-
-def _compile_setter(path: FieldPath) -> Callable[[dict, list[int], object], None]:
-    """Equivalent of ``message.set(path.resolve(indices), value)``."""
-    steps = path.steps
-    if len(steps) == 1 and isinstance(steps[0], str):
-        key = steps[0]
-
-        def set_flat(data: dict, indices: list[int], value: object) -> None:
-            data[key] = value
-
-        return set_flat
-
-    if len(steps) == 2 and isinstance(steps[0], str) and isinstance(steps[1], str):
-        first, second = steps
-
-        def set_nested(data: dict, indices: list[int], value: object) -> None:
-            container = data.get(first)
-            if not isinstance(container, (dict, list)):
-                container = {}
-                data[first] = container
-            if not isinstance(container, dict):
-                raise MessageError(f"expected a dict at {(first,)!r}")
-            container[second] = value
-
-        return set_nested
-
-    if (len(steps) == 3 and isinstance(steps[0], str)
-            and steps[1] is INDEX and isinstance(steps[2], str)):
-        outer, _, inner = steps
-
-        def set_element(data: dict, indices: list[int], value: object) -> None:
-            if not indices:
-                raise MessageError(
-                    f"cannot resolve {path}: needs more than 0 bound indices"
-                )
-            index = indices[0]
-            container = data.get(outer)
-            if not isinstance(container, (dict, list)):
-                container = []
-                data[outer] = container
-            if not isinstance(container, list):
-                raise MessageError(f"expected a list at {(outer,)!r}")
-            while len(container) <= index:
-                container.append(None)
-            entry = container[index]
-            if not isinstance(entry, (dict, list)):
-                entry = {}
-                container[index] = entry
-            if not isinstance(entry, dict):
-                raise MessageError(f"expected a dict at {(outer, index)!r}")
-            entry[inner] = value
-
-        return set_element
-
-    def set_(data: dict, indices: list[int], value: object) -> None:
-        container: object = data
-        bound = _bind_steps(steps, indices, path)
-        last = len(bound) - 1
-        for position in range(last):
-            step = bound[position]
-            next_step = bound[position + 1]
-            if isinstance(step, str):
-                if not isinstance(container, dict):
-                    raise MessageError(f"expected a dict at {tuple(bound[:position])!r}")
-                existing = container.get(step)
-                if isinstance(existing, (dict, list)):
-                    container = existing
-                else:
-                    created: object = [] if isinstance(next_step, int) else {}
-                    container[step] = created
-                    container = created
-            else:
-                if not isinstance(container, list):
-                    raise MessageError(f"expected a list at {tuple(bound[:position])!r}")
-                while len(container) <= step:
-                    container.append(None)
-                existing = container[step]
-                if isinstance(existing, (dict, list)):
-                    container = existing
-                else:
-                    created = [] if isinstance(next_step, int) else {}
-                    container[step] = created
-                    container = created
-        step = bound[last]
-        if isinstance(step, str):
-            if not isinstance(container, dict):
-                raise MessageError(f"expected a dict at {tuple(bound[:last])!r}")
-            container[step] = value
-        else:
-            if not isinstance(container, list):
-                raise MessageError(f"expected a list at {tuple(bound[:last])!r}")
-            while len(container) <= step:
-                container.append(None)
-            container[step] = value
-
-    return set_
-
-
-def _compile_list_init(path: FieldPath) -> Callable[[dict, list[int]], None]:
-    """Equivalent of ``if not message.has(p): message.set(p, [])`` for a list origin."""
-    setter = _compile_setter(path)
-    steps = path.steps
-    if len(steps) == 1 and isinstance(steps[0], str):
-        key = steps[0]
-
-        def init_flat(data: dict, indices: list[int]) -> None:
-            if key not in data:
-                data[key] = []
-
-        return init_flat
-
-    def init(data: dict, indices: list[int]) -> None:
-        container: object = data
-        cursor = 0
-        for step in steps:
-            if step is INDEX:
-                if cursor >= len(indices):
-                    raise MessageError(
-                        f"cannot resolve {path}: needs more than "
-                        f"{len(indices)} bound indices"
-                    )
-                step = indices[cursor]
-                cursor += 1
-            if isinstance(step, str):
-                if not isinstance(container, dict) or step not in container:
-                    setter(data, indices, [])
-                    return
-                container = container[step]
-            else:
-                if not isinstance(container, list) or not 0 <= step < len(container):
-                    setter(data, indices, [])
-                    return
-                container = container[step]
-
-    return init
-
-
-# ---------------------------------------------------------------------------
 # static size resolution
 # ---------------------------------------------------------------------------
 
@@ -579,10 +346,10 @@ class CodecPlan:
         (only nodes whose presence reference resolves to an origin-carrying
         terminal appear here).
     origin_get / origin_set / list_init:
-        Node name -> compiled accessor over the logical message data
-        (:func:`_compile_getter` and friends); ``counter_get`` and
-        ``presence_get`` are the same accessors keyed for counter fields and
-        Optional presence checks.
+        Node name -> walker of its origin over the logical message data, taken
+        from the shared :func:`repro.core.fieldpath.accessor` of the origin;
+        ``counter_get`` and ``presence_get`` are the same getters keyed for
+        counter fields and Optional presence checks.
     """
 
     __slots__ = (
@@ -676,20 +443,14 @@ def compile_plan(graph: FormatGraph) -> CodecPlan:
     presence_origins = {
         name: origins[ref] for name, ref in presence_refs.items() if ref in origins
     }
-    origin_get: dict[str, Callable] = {}
-    origin_set: dict[str, Callable] = {}
-    list_init: dict[str, Callable] = {}
-    for node_name, origin in origins.items():
-        origin_get[node_name] = _compile_getter(origin)
-        origin_set[node_name] = _compile_setter(origin)
-        list_init[node_name] = _compile_list_init(origin)
+    walkers = {name: accessor(origin) for name, origin in origins.items()}
     counter_get = {
-        field_name: origin_get[source_name]
-        for field_name, (source_name, source_origin) in counter_sources.items()
+        field_name: accessor(source_origin).get
+        for field_name, (_, source_origin) in counter_sources.items()
         if source_origin is not None
     }
     presence_get = {
-        name: _compile_getter(path) for name, path in presence_origins.items()
+        name: accessor(path).get for name, path in presence_origins.items()
     }
     length_slots: dict[str, LengthSlot] = {}
     terminals: dict[str, TerminalPlan] = {}
@@ -725,9 +486,9 @@ def compile_plan(graph: FormatGraph) -> CodecPlan:
         static_sizes=_compute_static_sizes(graph.root),
         terminals=terminals,
         presence_origins=presence_origins,
-        origin_get=origin_get,
-        origin_set=origin_set,
-        list_init=list_init,
+        origin_get={name: walker.get for name, walker in walkers.items()},
+        origin_set={name: walker.set for name, walker in walkers.items()},
+        list_init={name: walker.init_list for name, walker in walkers.items()},
         counter_get=counter_get,
         presence_get=presence_get,
     )

@@ -168,6 +168,20 @@ class TestStreamingDecoderBudgets:
             decoder.feed(b"\x00" * ((1 << 16) + 1))
         assert err.value.resource == "stream_bytes"
 
+    def test_declared_bytes_cap_under_native_framing(self):
+        # The MBAP length field declares 65535 payload bytes: the strict
+        # budget refuses the declaration with the 7-byte header alone, before
+        # any payload byte arrives.
+        graph = registry.get("modbus").reference_graph("request")
+        decoder = StreamingDecoder(graph, budget=ResourceBudget.strict())
+        with pytest.raises(BudgetExceeded) as err:
+            decoder.feed(bytes.fromhex("00010000ffff01"))
+        assert err.value.resource == "declared_bytes"
+        assert err.value.limit == 8192
+        assert err.value.actual == 65535
+        assert err.value.node == "request_payload"
+        assert err.value.message_index == 0
+
     def test_source_limit_is_enforced_on_feed(self):
         source = StreamSource(limit=8)
         source.feed(b"12345678")

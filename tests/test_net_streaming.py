@@ -11,6 +11,7 @@ garbage, and the self-framing analysis that decides the session framing.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -18,8 +19,10 @@ import pytest
 from repro.core.errors import StreamError
 from repro.net.framing import RecordDecoder, encode_record, resolve_framing
 from repro.protocols import registry
+from repro.protocols.dns.app import build_query
 from repro.transforms.engine import Obfuscator
 from repro.wire import WireCodec
+from repro.wire.plan import compile_plan
 from repro.wire.streaming import (
     StreamingDecoder,
     decode_stream,
@@ -76,6 +79,41 @@ def test_one_byte_chunk_feed(protocol_case):
     assert len(decoded) == 1
     assert decoded[0].raw == data
     assert decoded[0].message == codec.parse(data)
+
+
+def test_one_byte_drip_decodes_each_terminal_once():
+    """Drip-feeding costs the same terminal decodes as one whole feed.
+
+    The decoder resumes where it suspended instead of re-parsing from the
+    message start, so a 2,017-byte DNS query of 1,000 one-character labels,
+    fed one byte at a time, decodes each of its terminals exactly once.  A
+    re-parse per arriving byte would grow with the square of the length.
+    """
+    graph = registry.get("dns").graph_factory()
+    query = build_query([(".".join(["a"] * 1000), 1, 1)], query_id=7)
+    data = WireCodec(graph, seed=0).serialize(query)
+    assert len(data) == 2017
+
+    def decode_count(chunks) -> int:
+        plan = compile_plan(graph)
+        calls = [0]
+
+        def counted(decode):
+            def wrapper(raw):
+                calls[0] += 1
+                return decode(raw)
+            return wrapper
+
+        for name, terminal in plan.terminals.items():
+            plan.terminals[name] = replace(terminal, decode=counted(terminal.decode))
+        decoder = StreamingDecoder(graph, plan=plan)
+        decoded = [event for chunk in chunks for event in decoder.feed(chunk)]
+        assert len(decoded) == 1 and decoded[0].raw == data
+        return calls[0]
+
+    whole = decode_count([data])
+    assert whole == 2008
+    assert decode_count(data[offset:offset + 1] for offset in range(len(data))) == whole
 
 
 def test_split_inside_length_and_counter_fields():

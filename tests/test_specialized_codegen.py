@@ -3,9 +3,8 @@
 ISSUE 10 acceptance: specialized modules are property-tested identical to
 the interpreted runtime — bytes, logical structure and typed errors — for
 every registered protocol × obfuscation levels 0–4 × replayed plans, the
-module cache shares one compiled module per dialect fingerprint, the loader
-refuses stale-emitter-version modules, and the mypyc/Cython hook falls back
-cleanly when no compiler is installed.
+module cache shares one compiled module per dialect fingerprint, and the
+loader refuses stale-emitter-version modules.
 """
 
 from __future__ import annotations
@@ -17,15 +16,12 @@ import pytest
 from repro.codegen import (
     EMITTER_VERSION,
     SpecializedCodec,
-    available_backends,
     cached_module,
     clear_module_cache,
-    compile_native,
     generate_module,
     generate_module_from_plan,
     generate_specialized_module,
     load_source,
-    maybe_native,
     module_cache_stats,
 )
 from repro.core.errors import CodegenError, ParseError
@@ -263,24 +259,6 @@ class TestVersionRefusal:
         module = load_source(source)
         assert module.__emitter_version__ == EMITTER_VERSION
         assert module.__specialized__ is False
-
-
-class TestNativeHook:
-    def test_fallback_when_no_backend_installed(self, modbus_request_graph):
-        # The container ships no mypyc/Cython: the hook must return None /
-        # the fallback module without raising.
-        source = generate_module(modbus_request_graph, specialize=True)
-        if available_backends():
-            pytest.skip("a native backend is installed here")
-        assert compile_native(source) is None
-        fallback = load_source(source)
-        assert maybe_native(source, fallback, native=True) is fallback
-
-    def test_maybe_native_is_opt_in(self, modbus_request_graph, monkeypatch):
-        source = generate_module(modbus_request_graph, specialize=True)
-        fallback = load_source(source)
-        monkeypatch.delenv("REPRO_NATIVE_CODEC", raising=False)
-        assert maybe_native(source, fallback) is fallback
 
 
 class TestNetIntegration:
