@@ -37,8 +37,6 @@ import asyncio
 import hashlib
 import json
 import os
-import platform
-import sys
 from pathlib import Path
 from random import Random
 
@@ -422,8 +420,6 @@ def test_chaos_soak_suite():
             "concurrency": list(CONCURRENCY),
             "messages_per_client": MESSAGES,
             "failures_per_schedule": FAILURES,
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
             "notes": (
                 "virtual-clock soak: every cell must recover completely with "
                 "scenario-specific evidence in its counters (reconnects for "

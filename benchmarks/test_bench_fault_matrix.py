@@ -33,8 +33,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import platform
-import sys
 from pathlib import Path
 from random import Random
 
@@ -262,8 +260,6 @@ def test_fault_matrix_suite():
             "levels": list(LEVELS),
             "messages_per_session": MESSAGES,
             "fault_models": [name for name, _ in _fault_cells(1)],
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
             "notes": (
                 "faults hit the client->server direction of a one-way flow; "
                 "recovered = server decoded a byte-identical ordered "

@@ -37,8 +37,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import platform
-import sys
 from pathlib import Path
 from random import Random
 
@@ -407,8 +405,6 @@ def test_overload_soak_suite():
             "slow_messages": SLOW_MESSAGES,
             "drip_messages": DRIP_MESSAGES,
             "slow_window": SLOW_WINDOW,
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
             "notes": (
                 "every memory bomb must be killed by a typed BudgetExceeded "
                 "with peak buffered bytes under the budget while the "

@@ -45,6 +45,12 @@ class Endian(str, enum.Enum):
 
 _TEXT_ENCODING = "latin-1"
 
+# Enum members compared against per value, bound once: on CPython 3.10/3.11
+# ``EnumType.__getattr__`` makes every ``ValueKind.UINT`` a slow lookup.
+_UINT = ValueKind.UINT
+_BYTES = ValueKind.BYTES
+_TEXT = ValueKind.TEXT
+
 
 # ---------------------------------------------------------------------------
 # raw encode / decode
@@ -60,12 +66,14 @@ def encode_uint(value: int, size: int, endian: Endian = Endian.BIG) -> bytes:
     modulus = 1 << (8 * size)
     if not 0 <= value < modulus:
         raise SerializationError(f"value {value} does not fit in {size} byte(s)")
-    return value.to_bytes(size, endian.value)
+    # ``Endian`` members are ``str`` instances spelling the byte order, so
+    # they pass straight through without a slow ``.value`` read.
+    return value.to_bytes(size, endian)
 
 
 def decode_uint(data: bytes, endian: Endian = Endian.BIG) -> int:
     """Decode an unsigned integer from its byte representation."""
-    return int.from_bytes(data, endian.value)
+    return int.from_bytes(data, endian)
 
 
 def encode_value(value: Value, kind: ValueKind, *, size: int | None = None,
@@ -75,18 +83,18 @@ def encode_value(value: Value, kind: ValueKind, *, size: int | None = None,
     ``size`` is mandatory for ``UINT`` values and optional for the others (it
     is only used to check fixed-size constraints).
     """
-    if kind is ValueKind.UINT:
+    if kind is _UINT:
         if size is None:
             raise SerializationError("UINT terminals require a fixed size")
         return encode_uint(int(value), size, endian)
-    if kind is ValueKind.BYTES:
+    if kind is _BYTES:
         if isinstance(value, (bytes, bytearray)):
             data = bytes(value)
         elif isinstance(value, str):
             data = value.encode(_TEXT_ENCODING)
         else:
             raise SerializationError(f"cannot encode {type(value).__name__} as bytes")
-    elif kind is ValueKind.TEXT:
+    elif kind is _TEXT:
         if isinstance(value, str):
             data = value.encode(_TEXT_ENCODING)
         elif isinstance(value, (bytes, bytearray)):
@@ -104,27 +112,27 @@ def encode_value(value: Value, kind: ValueKind, *, size: int | None = None,
 
 def decode_value(data: bytes, kind: ValueKind, *, endian: Endian = Endian.BIG) -> Value:
     """Decode bytes into a logical value of the given ``kind``."""
-    if kind is ValueKind.UINT:
+    if kind is _UINT:
         return decode_uint(data, endian)
-    if kind is ValueKind.BYTES:
+    if kind is _BYTES:
         return bytes(data)
-    if kind is ValueKind.TEXT:
+    if kind is _TEXT:
         return data.decode(_TEXT_ENCODING)
     raise SerializationError(f"unknown value kind {kind!r}")  # pragma: no cover
 
 
 def default_value(kind: ValueKind) -> Value:
     """Neutral value used for padding-free defaults of a kind."""
-    if kind is ValueKind.UINT:
+    if kind is _UINT:
         return 0
-    if kind is ValueKind.BYTES:
+    if kind is _BYTES:
         return b""
     return ""
 
 
 def value_byte_length(value: Value, kind: ValueKind, *, size: int | None = None) -> int:
     """Length in bytes of the encoded value (without applying value ops)."""
-    if kind is ValueKind.UINT:
+    if kind is _UINT:
         if size is None:
             raise SerializationError("UINT terminals require a fixed size")
         return size
@@ -142,6 +150,10 @@ class ValueOpKind(str, enum.Enum):
     ADD = "add"
     SUB = "sub"
     XOR = "xor"
+
+
+_OP_ADD = ValueOpKind.ADD
+_OP_XOR = ValueOpKind.XOR
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,7 @@ class ValueOp:
             data = encode_value(value, value_kind)
             out = bytes(self._byte_op(byte, inverse) for byte in data)
             return decode_value(out, value_kind)
-        if value_kind is not ValueKind.UINT:
+        if value_kind is not _UINT:
             raise SerializationError(
                 "non-bytewise value operations only apply to UINT terminals"
             )
@@ -184,18 +196,18 @@ class ValueOp:
 
     def _byte_op(self, byte: int, inverse: bool) -> int:
         constant = self.constant & 0xFF
-        if self.kind is ValueOpKind.XOR:
+        if self.kind is _OP_XOR:
             return byte ^ constant
-        if self.kind is ValueOpKind.ADD:
+        if self.kind is _OP_ADD:
             return (byte - constant) % 256 if inverse else (byte + constant) % 256
         # SUB
         return (byte + constant) % 256 if inverse else (byte - constant) % 256
 
     def _int_op(self, value: int, modulus: int, inverse: bool) -> int:
         constant = self.constant % modulus
-        if self.kind is ValueOpKind.XOR:
+        if self.kind is _OP_XOR:
             return value ^ constant
-        if self.kind is ValueOpKind.ADD:
+        if self.kind is _OP_ADD:
             return (value - constant) % modulus if inverse else (value + constant) % modulus
         # SUB
         return (value + constant) % modulus if inverse else (value - constant) % modulus
@@ -229,6 +241,11 @@ class SynthesisOp(str, enum.Enum):
     CAT = "cat"
 
 
+_SYN_ADD = SynthesisOp.ADD
+_SYN_SUB = SynthesisOp.SUB
+_SYN_CAT = SynthesisOp.CAT
+
+
 @dataclass(frozen=True)
 class Synthesis:
     """Value-combination rule attached to a Sequence node created by a Split*.
@@ -245,7 +262,7 @@ class Synthesis:
 
     def combine(self, first: Value, second: Value) -> Value:
         """Recompute the logical value from the two wire values (parse side)."""
-        if self.op is SynthesisOp.CAT:
+        if self.op is _SYN_CAT:
             left = first if isinstance(first, (bytes, str)) else bytes(first)
             right = second if isinstance(second, (bytes, str)) else bytes(second)
             if isinstance(left, str) and isinstance(right, str):
@@ -253,14 +270,14 @@ class Synthesis:
             left_b = left.encode(_TEXT_ENCODING) if isinstance(left, str) else bytes(left)
             right_b = right.encode(_TEXT_ENCODING) if isinstance(right, str) else bytes(right)
             merged = left_b + right_b
-            return merged.decode(_TEXT_ENCODING) if self.kind is ValueKind.TEXT else merged
+            return merged.decode(_TEXT_ENCODING) if self.kind is _TEXT else merged
         if self.width is None:
             raise SerializationError("integer synthesis requires a width")
         modulus = 1 << (8 * self.width)
         a, b = int(first), int(second)
-        if self.op is SynthesisOp.ADD:
+        if self.op is _SYN_ADD:
             return (a + b) % modulus
-        if self.op is SynthesisOp.SUB:
+        if self.op is _SYN_SUB:
             return (a - b) % modulus
         return a ^ b
 
@@ -272,7 +289,7 @@ class Synthesis:
         for concatenation the cut position is either ``split_at`` (fixed-size
         splits decided at transform time) or drawn at random.
         """
-        if self.op is SynthesisOp.CAT:
+        if self.op is _SYN_CAT:
             data = value if isinstance(value, (bytes, str)) else bytes(value)
             if split_at is None:
                 split_at = rng.randint(0, len(data))
@@ -283,8 +300,8 @@ class Synthesis:
         modulus = 1 << (8 * self.width)
         logical = int(value) % modulus
         share = rng.randrange(modulus)
-        if self.op is SynthesisOp.ADD:
+        if self.op is _SYN_ADD:
             return share, (logical - share) % modulus
-        if self.op is SynthesisOp.SUB:
+        if self.op is _SYN_SUB:
             return share, (share - logical) % modulus
         return share, logical ^ share

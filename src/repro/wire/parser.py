@@ -23,6 +23,18 @@ from ..core.values import Value
 from .plan import CodecPlan, plan_for
 from .window import Window
 
+# Enum members bound once: on CPython 3.10/3.11 ``EnumType.__getattr__`` makes
+# every ``NodeType.TERMINAL`` in a per-node branch a slow attribute lookup.
+_TERMINAL = NodeType.TERMINAL
+_SEQUENCE = NodeType.SEQUENCE
+_OPTIONAL = NodeType.OPTIONAL
+_REPEATED = (NodeType.REPETITION, NodeType.TABULAR)
+_FIXED = BoundaryKind.FIXED
+_DELIMITED = BoundaryKind.DELIMITED
+_LENGTH = BoundaryKind.LENGTH
+_COUNTER = BoundaryKind.COUNTER
+_END = BoundaryKind.END
+
 
 class _ParseContext:
     """Mutable state shared by one parsing run."""
@@ -72,13 +84,23 @@ class Parser:
         :class:`ParseError`.
         """
         window = Window(bytes(data))
-        context = _ParseContext()
-        self._parse_node(self.graph.root, window, context)
+        message = self.parse_prefix(window)
         if strict and not window.at_end():
             raise ParseError(
                 f"{window.remaining()} trailing byte(s) after the message",
                 offset=window.cursor,
             )
+        return message
+
+    def parse_prefix(self, window: Window) -> Message:
+        """Parse one message starting at ``window.cursor``.
+
+        Leaves the cursor one past the message's last byte.  Unlike
+        :meth:`parse`, bytes left in the window after the message are not an
+        error.
+        """
+        context = _ParseContext()
+        self._parse_node(self.graph.root, window, context)
         return context.message
 
     # -- node dispatch --------------------------------------------------------
@@ -89,17 +111,17 @@ class Parser:
             region = self._extract_region(node, win, ctx)
             self._parse_node(node, Window(region[::-1]), ctx, prebounded=True)
             return
-        if node.type is NodeType.TERMINAL:
+        if node.type is _TERMINAL:
             value = self._parse_terminal(node, win, ctx, prebounded=prebounded)
             self._store_terminal(node, value, ctx)
             return
         inner, strict = self._composite_window(node, win, ctx, prebounded)
-        if node.type is NodeType.SEQUENCE:
+        if node.type is _SEQUENCE:
             self._parse_sequence(node, inner, ctx)
-        elif node.type is NodeType.OPTIONAL:
+        elif node.type is _OPTIONAL:
             self._parse_optional(node, inner, ctx)
-        elif node.type in (NodeType.REPETITION, NodeType.TABULAR):
-            self._parse_repetition(node, inner, ctx, prebounded=prebounded)
+        elif node.type in _REPEATED:
+            self._parse_repetition(node, inner, ctx)
         else:  # pragma: no cover - exhaustive enum
             raise ParseError(f"unknown node type {node.type!r}", node=node.name)
         if strict and not inner.at_end():
@@ -114,7 +136,7 @@ class Parser:
         """Create the byte window of a composite node and tell whether it is strict."""
         if prebounded:
             return win, True
-        if node.boundary.kind is BoundaryKind.LENGTH:
+        if node.boundary.kind is _LENGTH:
             length = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
             return win.subwindow(length), True
         return win, False
@@ -134,11 +156,11 @@ class Parser:
             return win.read_rest()
         kind = node.boundary.kind
         try:
-            if kind is BoundaryKind.FIXED:
+            if kind is _FIXED:
                 return win.read(node.boundary.size or 0)
-            if kind is BoundaryKind.DELIMITED:
+            if kind is _DELIMITED:
                 return win.read_until(node.boundary.delimiter or b"")
-            if kind is BoundaryKind.LENGTH:
+            if kind is _LENGTH:
                 length = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
                 return win.read(length)
             return win.read_rest()
@@ -156,11 +178,11 @@ class Parser:
 
     def _extract_region(self, node: Node, win: Window, ctx: _ParseContext) -> bytes:
         kind = node.boundary.kind
-        if kind is BoundaryKind.FIXED:
+        if kind is _FIXED:
             return win.read(node.boundary.size or 0)
-        if kind is BoundaryKind.LENGTH:
+        if kind is _LENGTH:
             return win.read(ctx.ref_value(node.boundary.ref, node=node.name))  # type: ignore[arg-type]
-        if kind is BoundaryKind.END:
+        if kind is _END:
             return win.read_rest()
         size = self.plan.static_sizes.get(node.name)
         if size is None:
@@ -178,7 +200,7 @@ class Parser:
         for child in node.children:
             # Plain terminals skip the _parse_node dispatch: one call less on
             # the most common child shape.
-            if child.type is NodeType.TERMINAL and not child.mirrored:
+            if child.type is _TERMINAL and not child.mirrored:
                 self._store_terminal(child, self._parse_terminal(child, win, ctx), ctx)
             else:
                 self._parse_node(child, win, ctx)
@@ -228,8 +250,7 @@ class Parser:
             return ctx.raw_values[node.presence_ref] == node.presence_value
         return not win.at_end()
 
-    def _parse_repetition(self, node: Node, win: Window, ctx: _ParseContext,
-                          *, prebounded: bool = False) -> None:
+    def _parse_repetition(self, node: Node, win: Window, ctx: _ParseContext) -> None:
         if node.origin is None:
             raise ParseError(f"repeated node {node.name!r} has no logical origin")
         self.plan.list_init[node.name](ctx.data, ctx.index_stack)
@@ -243,15 +264,12 @@ class Parser:
             finally:
                 ctx.index_stack.pop()
 
-        if kind is BoundaryKind.COUNTER:
+        if kind is _COUNTER:
             count = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
             for index in range(count):
                 parse_element(index)
             return
-        if kind is BoundaryKind.LENGTH and not prebounded:
-            # The enclosing window was already restricted by _composite_window.
-            pass
-        if kind is BoundaryKind.DELIMITED:
+        if kind is _DELIMITED:
             terminator = node.boundary.delimiter or b""
             index = 0
             while not win.at_end() and not win.starts_with(terminator):

@@ -20,6 +20,8 @@ from ..core.errors import SerializationError
 from ..core.fieldpath import FieldPath
 from ..core.values import Endian, ValueKind, ValueOp, apply_chain, encode_uint
 
+_UINT = ValueKind.UINT  # bound once: enum attribute lookups are slow on 3.10/3.11
+
 
 class Chunk:
     """A literal run of bytes, optionally labelled with the terminal that produced it.
@@ -94,7 +96,7 @@ class LengthSlot:
 
     def resolve(self, length: int) -> bytes:
         """Encode the measured ``length`` of the target region."""
-        value = apply_chain(length, ValueKind.UINT, self.codec_chain)
+        value = apply_chain(length, _UINT, self.codec_chain)
         if not isinstance(value, int):  # pragma: no cover - chains keep ints
             raise SerializationError("length field codec chain produced a non-integer")
         data = encode_uint(value % (1 << (8 * self.width)), self.width, self.endian)

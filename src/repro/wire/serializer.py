@@ -36,6 +36,14 @@ from .pieces import LengthSlot, PieceList
 from .plan import CodecPlan, plan_for
 from .spans import FieldSpan
 
+# Enum members bound once (see the note in :mod:`repro.wire.parser`).
+_TERMINAL = NodeType.TERMINAL
+_SEQUENCE = NodeType.SEQUENCE
+_OPTIONAL = NodeType.OPTIONAL
+_REPETITION = NodeType.REPETITION
+_REPEATED = (NodeType.REPETITION, NodeType.TABULAR)
+_DELIMITED = BoundaryKind.DELIMITED
+
 
 class _SerializeContext:
     """Mutable state shared by one serialization run."""
@@ -138,13 +146,13 @@ class Serializer:
             mark = len(out.pieces)
             length_before = out.byte_length()
         node_type = node.type
-        if node_type is NodeType.TERMINAL:
+        if node_type is _TERMINAL:
             self._serialize_terminal(node, ctx, out)
-        elif node_type is NodeType.SEQUENCE:
+        elif node_type is _SEQUENCE:
             self._serialize_sequence(node, ctx, out)
-        elif node_type is NodeType.OPTIONAL:
+        elif node_type is _OPTIONAL:
             self._serialize_optional(node, ctx, out)
-        elif node_type in (NodeType.REPETITION, NodeType.TABULAR):
+        elif node_type in _REPEATED:
             self._serialize_repetition(node, ctx, out)
         else:  # pragma: no cover - exhaustive enum
             raise SerializationError(f"unknown node type {node.type!r}")
@@ -242,7 +250,7 @@ class Serializer:
             # Plain terminals (no mirror, no measured region) skip the
             # _serialize_node bookkeeping: one call less on the most common
             # child shape.
-            if (child.type is NodeType.TERMINAL and not child.mirrored
+            if (child.type is _TERMINAL and not child.mirrored
                     and child.name not in length_targets):
                 self._serialize_terminal(child, ctx, out)
             else:
@@ -313,7 +321,7 @@ class Serializer:
                 self._serialize_node(child, ctx, out)
             finally:
                 ctx.pop_index()
-        if node.type is NodeType.REPETITION and node.boundary.kind is BoundaryKind.DELIMITED:
+        if node.type is _REPETITION and node.boundary.kind is _DELIMITED:
             out.add_bytes(node.boundary.delimiter or b"")
 
 

@@ -21,7 +21,10 @@ parser is re-expressed as a suspendable generator machine:
   the stream runs dry,
 * :class:`StreamingDecoder` drives the machine: ``feed()`` returns every
   newly completed message, ``feed_eof()`` flushes the tail, and back-to-back
-  messages on one stream are framed without any outer envelope.
+  messages on one stream are framed without any outer envelope.  A message
+  whose bytes are all buffered when it starts is parsed whole by the
+  :class:`~repro.wire.parser.Parser` instead; the machine takes over only
+  the messages that do not complete that way, from their first byte.
 
 Framing caveat — *greedy* graphs.  A graph whose parse consults the end of
 the enclosing window at the top level (an END-bounded terminal such as the
@@ -43,8 +46,21 @@ from ..core.graph import FormatGraph
 from ..core.message import Message
 from ..core.node import Node, NodeType
 from ..core.values import Value
-from .parser import _ParseContext
+from .parser import (
+    _COUNTER,
+    _DELIMITED,
+    _END,
+    _FIXED,
+    _LENGTH,
+    _OPTIONAL,
+    _REPEATED,
+    _SEQUENCE,
+    _TERMINAL,
+    Parser,
+    _ParseContext,
+)
 from .plan import CodecPlan, plan_for
+from .window import OpenWindow
 
 #: Sentinel yielded by the parse machine when the source holds too few bytes.
 NEED_MORE = object()
@@ -123,6 +139,10 @@ class StreamSource:
             return
         del self._buffer[: upto - self._base]
         self._base = upto
+
+    def snapshot(self) -> bytes:
+        """One copy of every held byte, starting at absolute offset :attr:`base`."""
+        return bytes(self._buffer)
 
     # -- reads (absolute offsets) --------------------------------------------
 
@@ -347,19 +367,18 @@ class StreamingParser:
             inner = StreamWindow(StreamSource.of(region[::-1]), 0, len(region))
             yield from self._parse_node(node, inner, ctx, prebounded=True)
             return
-        if node.type is NodeType.TERMINAL:
+        if node.type is _TERMINAL:
             value = yield from self._parse_terminal(node, win, ctx,
                                                     prebounded=prebounded)
             self._store_terminal(node, value, ctx)
             return
         inner, strict = self._composite_window(node, win, ctx, prebounded)
-        if node.type is NodeType.SEQUENCE:
+        if node.type is _SEQUENCE:
             yield from self._parse_sequence(node, inner, ctx)
-        elif node.type is NodeType.OPTIONAL:
+        elif node.type is _OPTIONAL:
             yield from self._parse_optional(node, inner, ctx)
-        elif node.type in (NodeType.REPETITION, NodeType.TABULAR):
-            yield from self._parse_repetition(node, inner, ctx,
-                                              prebounded=prebounded)
+        elif node.type in _REPEATED:
+            yield from self._parse_repetition(node, inner, ctx)
         else:  # pragma: no cover - exhaustive enum
             raise ParseError(f"unknown node type {node.type!r}", node=node.name)
         if strict and not inner.bounded_at_end():
@@ -373,7 +392,7 @@ class StreamingParser:
                           prebounded: bool) -> tuple[StreamWindow, bool]:
         if prebounded:
             return win, True
-        if node.boundary.kind is BoundaryKind.LENGTH:
+        if node.boundary.kind is _LENGTH:
             length = self._check_declared(
                 ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
                 node.name,
@@ -396,11 +415,11 @@ class StreamingParser:
             return (yield from win.read_rest())
         kind = node.boundary.kind
         try:
-            if kind is BoundaryKind.FIXED:
+            if kind is _FIXED:
                 return (yield from win.read(node.boundary.size or 0))
-            if kind is BoundaryKind.DELIMITED:
+            if kind is _DELIMITED:
                 return (yield from win.read_until(node.boundary.delimiter or b""))
-            if kind is BoundaryKind.LENGTH:
+            if kind is _LENGTH:
                 length = self._check_declared(
                     ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
                     node.name,
@@ -424,14 +443,14 @@ class StreamingParser:
 
     def _extract_region(self, node: Node, win: StreamWindow, ctx: _ParseContext):
         kind = node.boundary.kind
-        if kind is BoundaryKind.FIXED:
+        if kind is _FIXED:
             return (yield from win.read(node.boundary.size or 0))
-        if kind is BoundaryKind.LENGTH:
+        if kind is _LENGTH:
             return (yield from win.read(self._check_declared(
                 ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
                 node.name,
             )))
-        if kind is BoundaryKind.END:
+        if kind is _END:
             return (yield from win.read_rest())
         size = self.plan.static_sizes.get(node.name)
         if size is None:
@@ -447,7 +466,7 @@ class StreamingParser:
             yield from self._parse_synthesis(node, win, ctx)
             return
         for child in node.children:
-            if child.type is NodeType.TERMINAL and not child.mirrored:
+            if child.type is _TERMINAL and not child.mirrored:
                 value = yield from self._parse_terminal(child, win, ctx)
                 self._store_terminal(child, value, ctx)
             else:
@@ -499,15 +518,14 @@ class StreamingParser:
         at_end = yield from win.at_end()
         return not at_end
 
-    def _parse_repetition(self, node: Node, win: StreamWindow, ctx: _ParseContext,
-                          *, prebounded: bool = False):
+    def _parse_repetition(self, node: Node, win: StreamWindow, ctx: _ParseContext):
         if node.origin is None:
             raise ParseError(f"repeated node {node.name!r} has no logical origin")
         self.plan.list_init[node.name](ctx.data, ctx.index_stack)
         child = node.children[0]
         kind = node.boundary.kind
 
-        if kind is BoundaryKind.COUNTER:
+        if kind is _COUNTER:
             count = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
             for index in range(count):
                 ctx.index_stack.append(index)
@@ -516,7 +534,7 @@ class StreamingParser:
                 finally:
                     ctx.index_stack.pop()
             return
-        if kind is BoundaryKind.DELIMITED:
+        if kind is _DELIMITED:
             terminator = node.boundary.delimiter or b""
             index = 0
             while True:
@@ -577,6 +595,12 @@ class StreamingDecoder:
     completes, a message cut mid-field raises :class:`StreamError`.
     ``needs_more`` reports whether a message is currently suspended.
 
+    Each message gets at most one whole-message parse attempt, made when it
+    starts at a clean boundary before end-of-stream (see
+    :meth:`_parse_buffered`).  A message that attempt cannot finish goes to
+    the resumable machine, so a one-byte drip stays linear in the stream
+    length.
+
     ``budget`` is any object exposing ``max_stream_bytes`` /
     ``max_declared_bytes`` / ``max_steps_per_feed`` attributes (``None``
     meaning unlimited) — typically a
@@ -592,6 +616,7 @@ class StreamingDecoder:
             graph, plan=plan,
             max_declared_bytes=getattr(budget, "max_declared_bytes", None),
         )
+        self._whole_parser = Parser(graph, plan=self.parser.plan)
         self._max_stream = getattr(budget, "max_stream_bytes", None)
         self._max_steps = getattr(budget, "max_steps_per_feed", None)
         self._source = StreamSource()
@@ -660,10 +685,18 @@ class StreamingDecoder:
     def _pump(self) -> list[DecodedMessage]:
         completed: list[DecodedMessage] = []
         source = self._source
+        # Taken at the first clean message boundary: one copy of the buffered
+        # bytes per pump, in which whole messages parse at increasing offsets.
+        snapshot: tuple[bytes, int] | None = None
         while True:
             if self._machine is None:
                 if source.length <= self._start:
                     break  # no unconsumed byte: clean inter-message point
+                if not source.eof:
+                    if snapshot is None:
+                        snapshot = source.snapshot(), source.base
+                    if self._parse_buffered(*snapshot, completed):
+                        continue
                 window = StreamWindow(source, self._start, None)
                 self._machine = self.parser.parse_message(window)
             try:
@@ -675,19 +708,8 @@ class StreamingDecoder:
                     self._raw_parts.clear()
                 else:
                     raw = source.slice(self._start, end)
-                completed.append(DecodedMessage(
-                    message=message, raw=raw, start=self._start, end=end,
-                ))
                 self._machine = None
-                self._start = end
-                self._decoded += 1
-                source.release(end)
-                self._steps += 1
-                if self._max_steps is not None and self._steps > self._max_steps:
-                    raise self._fail(BudgetExceeded(
-                        "decode_steps", limit=self._max_steps,
-                        actual=self._steps, message_index=self._decoded,
-                    ))
+                self._complete(completed, message, raw, end)
                 continue
             except BudgetExceeded as exc:
                 # Keep the typed subclass (and its resource/limit/actual
@@ -712,6 +734,49 @@ class StreamingDecoder:
             self._trim()
             break
         return completed
+
+    def _parse_buffered(self, data: bytes, base: int,
+                        completed: list[DecodedMessage]) -> bool:
+        """Parse the next message whole from ``data``, the bytes held from ``base``.
+
+        The whole-message :class:`~repro.wire.parser.Parser` runs over an
+        :class:`~repro.wire.window.OpenWindow` that ends where the buffered
+        bytes end — or, under a budget, ``max_declared_bytes`` past the
+        message start, so a message declaring more than that never completes
+        here.  Running short of bytes, an answer that depends on bytes not yet
+        received, or any other :class:`ParseError` returns False without side
+        effects: the machine then parses the message from its start, and every
+        suspension, typed error and budget check stays the machine's.
+        """
+        start = self._start - base
+        end = len(data)
+        cap = self.parser.max_declared_bytes
+        if cap is not None:
+            end = min(end, start + cap)
+        try:
+            window = OpenWindow(data, start, end)
+            message = self._whole_parser.parse_prefix(window)
+        except ParseError:
+            return False
+        self._complete(completed, message, data[start:window.cursor],
+                       base + window.cursor)
+        return True
+
+    def _complete(self, completed: list[DecodedMessage], message: Message,
+                  raw: bytes, end: int) -> None:
+        """Emit the message ending at ``end``, release it and count the step."""
+        completed.append(DecodedMessage(
+            message=message, raw=raw, start=self._start, end=end,
+        ))
+        self._start = end
+        self._decoded += 1
+        self._source.release(end)
+        self._steps += 1
+        if self._max_steps is not None and self._steps > self._max_steps:
+            raise self._fail(BudgetExceeded(
+                "decode_steps", limit=self._max_steps,
+                actual=self._steps, message_index=self._decoded,
+            ))
 
     def _trim(self) -> None:
         """Release bytes a suspended parse can no longer re-read.

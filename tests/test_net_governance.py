@@ -39,7 +39,8 @@ from repro.net import (
 )
 from repro.net.framing import BUSY_SENTINEL, frame_payload
 from repro.net.session import _MessagePump
-from repro.protocols import registry
+from repro.protocols import mqtt, registry
+from repro.wire import WireCodec
 from repro.wire.serializer import Serializer
 from repro.wire.streaming import StreamSource, StreamingDecoder
 
@@ -180,6 +181,24 @@ class TestStreamingDecoderBudgets:
         assert err.value.limit == 8192
         assert err.value.actual == 65535
         assert err.value.node == "request_payload"
+        assert err.value.message_index == 0
+
+    def test_declared_bytes_cap_on_whole_buffered_message(self):
+        # The whole 9,008-byte PUBLISH arrives in one chunk.  A whole-message
+        # parse of it would succeed, so the cap must still refuse its
+        # 9,005-byte remaining-length declaration, as it does on a drip.
+        graph = registry.get("mqtt").reference_graph("request")
+        data = WireCodec(graph, seed=0).serialize(
+            mqtt.build_publish("t/x", b"z" * 9000)
+        )
+        assert len(data) == 9008
+        decoder = StreamingDecoder(graph, budget=ResourceBudget.strict())
+        with pytest.raises(BudgetExceeded) as err:
+            decoder.feed(data)
+        assert err.value.resource == "declared_bytes"
+        assert err.value.limit == 8192
+        assert err.value.actual == 9005
+        assert err.value.node == "mqtt_body"
         assert err.value.message_index == 0
 
     def test_source_limit_is_enforced_on_feed(self):

@@ -16,6 +16,8 @@ from random import Random
 
 import pytest
 
+from repro.core.boundary import Boundary
+from repro.core.builder import build_graph, repetition, sequence, uint
 from repro.core.errors import StreamError
 from repro.net.framing import RecordDecoder, encode_record, resolve_framing
 from repro.protocols import registry
@@ -156,20 +158,107 @@ def test_back_to_back_framing(key, passes):
     rng = Random(21)
     wires = [codec.serialize(setup.message_generator(rng)) for _ in range(6)]
     stream = b"".join(wires)
+    # Small chunks split messages across feeds; the single feed buffers
+    # every message whole before it starts.
+    for chunks in (random_chunks(stream, Random(passes + 77), max_chunk=13),
+                   [stream]):
+        decoder = StreamingDecoder(graph)
+        decoded = []
+        for chunk in chunks:
+            decoded.extend(decoder.feed(chunk))
+        decoded.extend(decoder.feed_eof())
+        assert [frame.raw for frame in decoded] == wires
+        assert [frame.message for frame in decoded] == [codec.parse(w) for w in wires]
+        assert decoder.decoded_count == 6
+        # extents tile the stream exactly
+        cursor = 0
+        for frame in decoded:
+            assert frame.start == cursor
+            cursor = frame.end
+        assert cursor == len(stream)
+
+
+def decode_outcome(graph, chunks) -> tuple[list, tuple | None]:
+    """Messages decoded from ``chunks`` then EOF, and the StreamError if any."""
     decoder = StreamingDecoder(graph)
     decoded = []
-    for chunk in random_chunks(stream, Random(passes + 77), max_chunk=13):
-        decoded.extend(decoder.feed(chunk))
-    decoded.extend(decoder.feed_eof())
-    assert [frame.raw for frame in decoded] == wires
-    assert [frame.message for frame in decoded] == [codec.parse(w) for w in wires]
-    assert decoder.decoded_count == 6
-    # extents tile the stream exactly
-    cursor = 0
-    for frame in decoded:
-        assert frame.start == cursor
-        cursor = frame.end
-    assert cursor == len(stream)
+    try:
+        for chunk in chunks:
+            decoded.extend(decoder.feed(chunk))
+        decoded.extend(decoder.feed_eof())
+    except StreamError as exc:
+        return decoded, (str(exc), exc.offset, exc.node, exc.message_index)
+    return decoded, None
+
+
+@pytest.mark.parametrize("key", ["coap", "dns", "modbus", "mqtt"])
+@pytest.mark.parametrize("passes", [0, 2])
+def test_damaged_stream_whole_feed_matches_drip(key, passes):
+    """Feeding a damaged stream whole decodes and fails exactly like a drip.
+
+    Messages buffered whole when they start may be parsed whole; a one-byte
+    drip never buffers a message whole.  Two back-to-back messages per
+    direction take seeded bit flips and truncations, and both feeds must give
+    the same decoded messages and the same error text, offset, node and
+    message index.
+    """
+    setup = registry.get(key)
+    for direction, graph_factory, generator in setup.directions():
+        graph = graph_factory()
+        if passes:
+            graph = Obfuscator(seed=90 + passes).obfuscate(graph, passes).graph
+        if not is_self_framing(graph):
+            continue
+        codec = WireCodec(graph, seed=5)
+        rng = Random(f"{key}-{direction}-{passes}")
+        stream = b"".join(codec.serialize(generator(rng)) for _ in range(2))
+        damaged = [stream]
+        for _ in range(6):
+            flipped = bytearray(stream)
+            for _ in range(rng.randint(1, 3)):
+                flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+            damaged.append(bytes(flipped))
+            damaged.append(stream[: rng.randrange(1, len(stream))])
+        for data in damaged:
+            whole, whole_error = decode_outcome(graph, [data])
+            drip, drip_error = decode_outcome(
+                graph, (data[i:i + 1] for i in range(len(data)))
+            )
+            context = f"{direction}: {data.hex()}"
+            assert whole_error == drip_error, context
+            # A feed() that fails returns none of the messages it completed,
+            # so the drip's messages are also checked against a whole feed of
+            # just their bytes.
+            assert whole == drip[: len(whole)], context
+            cut = drip[-1].end if drip else 0
+            assert decode_outcome(graph, [data[:cut]]) == (drip, None), context
+
+
+def test_buffered_message_waits_for_the_bytes_that_end_it():
+    """A buffered message never completes on a guess about bytes not yet sent.
+
+    The item list ends at its 0x00 terminator, so a buffer that stops between
+    items leaves the message suspended; the HTTP body ends at end-of-stream,
+    so a whole buffered request completes only at EOF.
+    """
+    items = repetition("items", uint("x", 1), boundary=Boundary.delimited(b"\x00"))
+    graph = build_graph(sequence("root", [items]), "demo")
+    decoder = StreamingDecoder(graph)
+    assert decoder.feed(b"\x01\x02") == []
+    assert decoder.needs_more
+    [frame] = decoder.feed(b"\x00\x03")
+    assert frame.raw == b"\x01\x02\x00"
+    assert frame.message == WireCodec(graph).parse(frame.raw)
+
+    setup = registry.get("http")
+    graph = setup.graph_factory()
+    codec = WireCodec(graph, seed=2)
+    data = codec.serialize(setup.message_generator(Random(3)))
+    decoder = StreamingDecoder(graph)
+    assert decoder.feed(data) == []
+    [frame] = decoder.feed_eof()
+    assert frame.raw == data
+    assert frame.message == codec.parse(data)
 
 
 def test_one_chunk_completes_multiple_messages():
