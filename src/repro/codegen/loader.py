@@ -83,10 +83,14 @@ class GeneratedCodec:
     """A loaded generated library exposed behind the WireCodec interface."""
 
     def __init__(self, graph: FormatGraph, *, seed: int | None = None,
-                 source: str | None = None):
+                 source: str | None = None,
+                 module: types.ModuleType | None = None):
         self.graph = graph
-        self.source = source if source is not None else generate_module(graph)
-        self.module = load_source(self.source)
+        if module is None:
+            source = source if source is not None else generate_module(graph)
+            module = load_source(source)
+        self.source = source
+        self.module = module
         self._rng = Random(seed if seed is not None else 0)
 
     def serialize(self, message: Message | dict) -> bytes:

@@ -101,7 +101,11 @@ class FormatGraph:
 
     def is_ref_target(self, name: str) -> bool:
         """True when some node's boundary or presence condition references ``name``."""
-        return name in self.ref_targets()
+        # A boundary carries ``ref`` only when it is LENGTH or COUNTER.
+        for node in self.nodes():
+            if node.boundary.ref == name or node.presence_ref == name:
+                return True
+        return False
 
     def referencing_nodes(self, name: str) -> list[Node]:
         """Nodes whose boundary/presence references the node called ``name``."""

@@ -8,58 +8,103 @@ they are needed, derived fields must not clash with user data, ...).
 
 Both original specifications and transformed graphs are validated: every
 transformation is required to keep the graph valid, which is checked by the
-transformation engine and by the test suite.
+transformation engine and by the test suite.  The engine validates after every
+step, so one pre-order walk collects what the rules need and the rules then
+run over the collected node list.  Rule order decides which error a graph
+breaking several rules reports: duplicate names first, then the per-node rules
+node by node in pre-order, then shared LENGTH targets, then window layout.
 """
 
 from __future__ import annotations
 
 from .boundary import BoundaryKind
 from .errors import GraphError
-from .graph import FormatGraph, is_greedy, parse_window_known
+from .graph import FormatGraph, parse_window_known
 from .node import Node, NodeType
 from .values import ValueKind
 
-_TERMINAL_BOUNDARIES = frozenset(
-    {BoundaryKind.FIXED, BoundaryKind.DELIMITED, BoundaryKind.LENGTH, BoundaryKind.END}
-)
-_SEQUENCE_BOUNDARIES = frozenset(
-    {BoundaryKind.DELEGATED, BoundaryKind.LENGTH, BoundaryKind.END}
-)
-_REPETITION_BOUNDARIES = frozenset(
-    {BoundaryKind.DELIMITED, BoundaryKind.LENGTH, BoundaryKind.END, BoundaryKind.COUNTER}
-)
+# Enum members bound once: on CPython 3.10/3.11 ``EnumType.__getattr__`` makes
+# every ``NodeType.TERMINAL`` in a per-node branch a slow attribute lookup.
+_TERMINAL = NodeType.TERMINAL
+_SEQUENCE = NodeType.SEQUENCE
+_OPTIONAL = NodeType.OPTIONAL
+_REPETITION = NodeType.REPETITION
+_TABULAR = NodeType.TABULAR
+_FIXED = BoundaryKind.FIXED
+_DELIMITED = BoundaryKind.DELIMITED
+_LENGTH = BoundaryKind.LENGTH
+_COUNTER = BoundaryKind.COUNTER
+_END = BoundaryKind.END
+_DELEGATED = BoundaryKind.DELEGATED
+_UINT = ValueKind.UINT
+
+_TERMINAL_BOUNDARIES = (_FIXED, _DELIMITED, _LENGTH, _END)
+_SEQUENCE_BOUNDARIES = (_DELEGATED, _LENGTH, _END)
+_REPETITION_BOUNDARIES = (_DELIMITED, _LENGTH, _END, _COUNTER)
+_VARIABLE_ARITY = (_REPETITION, _TABULAR, _OPTIONAL)
 
 
 def validate_graph(graph: FormatGraph) -> None:
     """Raise :class:`GraphError` when ``graph`` violates any structural rule."""
-    node_map = graph.node_map()  # also detects duplicate names
-    order = graph.pre_order_index()
-    ref_targets = _collect_ref_targets(graph)
-
-    for node in graph.nodes():
+    nodes, position, end, ref_targets, shared_length = _walk(graph)
+    for index, node in enumerate(nodes):
         _check_parent_links(node)
         _check_type_shape(node)
         _check_boundary_compatibility(node)
-        _check_terminal_details(node, ref_targets)
-        _check_references(graph, node, node_map, order)
-        _check_obfuscation_metadata(node)
+        if node.type is _TERMINAL:
+            _check_terminal_details(node, ref_targets)
+        # A boundary carries ``ref`` only when it is LENGTH or COUNTER.
+        if node.boundary.ref is not None or node.presence_ref is not None:
+            _check_references(graph, node, index, nodes, position, end)
+        if node.synthesis is not None or node.mirrored or node.codec_chain:
+            _check_obfuscation_metadata(node)
+    if shared_length is not None:
+        raise GraphError(shared_length)
+    _check_window_layout(nodes, position)
 
-    _check_length_target_uniqueness(graph)
-    _check_window_layout(graph)
+
+def _walk(graph: FormatGraph):
+    """Pre-order nodes, name positions, subtree ends, LENGTH/COUNTER targets.
+
+    Also returns the error of the first terminal backing two LENGTH boundaries
+    (counters may be shared), raised later in rule order.
+    """
+    nodes: list[Node] = []
+    position: dict[str, int] = {}
+    ref_targets: set[str] = set()
+    length_sources: dict[str, str] = {}
+    shared_length = None
+    stack = [graph.root]
+    while stack:
+        node = stack.pop()
+        name = node.name
+        if name in position:
+            raise GraphError(f"duplicate node name {name!r} in graph {graph.name!r}")
+        position[name] = len(nodes)
+        nodes.append(node)
+        ref = node.boundary.ref
+        if ref is not None:
+            ref_targets.add(ref)
+            if node.boundary.kind is _LENGTH and shared_length is None:
+                previous = length_sources.setdefault(ref, name)
+                if previous != name:
+                    shared_length = (
+                        f"terminal {ref!r} is the length of both {previous!r} and {name!r}"
+                    )
+        if node.children:
+            stack.extend(reversed(node.children))
+    # end[i] is one past the last pre-order position of node i's subtree.
+    end = list(range(1, len(nodes) + 1))
+    for index in range(len(nodes) - 1, -1, -1):
+        children = nodes[index].children
+        if children:
+            end[index] = end[position[children[-1].name]]
+    return nodes, position, end, ref_targets, shared_length
 
 
 # ---------------------------------------------------------------------------
 # individual rules
 # ---------------------------------------------------------------------------
-
-
-def _collect_ref_targets(graph: FormatGraph) -> set[str]:
-    """Names of the terminals targeted by a LENGTH or COUNTER boundary."""
-    targets: set[str] = set()
-    for node in graph.nodes():
-        if node.boundary.kind in (BoundaryKind.LENGTH, BoundaryKind.COUNTER):
-            targets.add(node.boundary.ref)  # type: ignore[arg-type]
-    return targets
 
 
 def _check_parent_links(node: Node) -> None:
@@ -71,11 +116,11 @@ def _check_parent_links(node: Node) -> None:
 
 
 def _check_type_shape(node: Node) -> None:
-    if node.type is NodeType.TERMINAL:
+    if node.type is _TERMINAL:
         if node.children:
             raise GraphError(f"terminal {node.name!r} cannot have children")
         return
-    if node.type is NodeType.SEQUENCE:
+    if node.type is _SEQUENCE:
         if not node.children:
             raise GraphError(f"sequence {node.name!r} must have at least one child")
         return
@@ -89,30 +134,28 @@ def _check_type_shape(node: Node) -> None:
 
 def _check_boundary_compatibility(node: Node) -> None:
     kind = node.boundary.kind
-    if node.type is NodeType.TERMINAL and kind not in _TERMINAL_BOUNDARIES:
+    if node.type is _TERMINAL and kind not in _TERMINAL_BOUNDARIES:
         raise GraphError(f"terminal {node.name!r} cannot use a {kind.value} boundary")
-    if node.type is NodeType.SEQUENCE and kind not in _SEQUENCE_BOUNDARIES:
+    if node.type is _SEQUENCE and kind not in _SEQUENCE_BOUNDARIES:
         raise GraphError(f"sequence {node.name!r} cannot use a {kind.value} boundary")
-    if node.type is NodeType.OPTIONAL and kind is not BoundaryKind.DELEGATED:
+    if node.type is _OPTIONAL and kind is not _DELEGATED:
         raise GraphError(f"optional {node.name!r} must use a delegated boundary")
-    if node.type is NodeType.REPETITION and kind not in _REPETITION_BOUNDARIES:
+    if node.type is _REPETITION and kind not in _REPETITION_BOUNDARIES:
         raise GraphError(f"repetition {node.name!r} cannot use a {kind.value} boundary")
-    if node.type is NodeType.TABULAR and kind is not BoundaryKind.COUNTER:
+    if node.type is _TABULAR and kind is not _COUNTER:
         raise GraphError(f"tabular {node.name!r} must use a counter boundary")
 
 
 def _check_terminal_details(node: Node, ref_targets: set[str]) -> None:
-    if node.type is not NodeType.TERMINAL:
-        return
-    if node.value_kind is ValueKind.UINT and node.boundary.kind is not BoundaryKind.FIXED:
+    if node.value_kind is _UINT and node.boundary.kind is not _FIXED:
         raise GraphError(f"uint terminal {node.name!r} requires a fixed boundary")
     if node.is_pad:
-        if node.boundary.kind is not BoundaryKind.FIXED:
+        if node.boundary.kind is not _FIXED:
             raise GraphError(f"pad terminal {node.name!r} requires a fixed boundary")
         if node.origin is not None:
             raise GraphError(f"pad terminal {node.name!r} cannot carry a logical origin")
     if node.name in ref_targets:
-        if node.value_kind is not ValueKind.UINT or node.boundary.kind is not BoundaryKind.FIXED:
+        if node.value_kind is not _UINT or node.boundary.kind is not _FIXED:
             raise GraphError(
                 f"terminal {node.name!r} is a length/counter field and must be a fixed-size uint"
             )
@@ -123,51 +166,45 @@ def _check_terminal_details(node: Node, ref_targets: set[str]) -> None:
             )
 
 
-def _check_references(
-    graph: FormatGraph,
-    node: Node,
-    node_map: dict[str, Node],
-    order: dict[str, int],
-) -> None:
+def _check_references(graph: FormatGraph, node: Node, index: int, nodes: list[Node],
+                      position: dict[str, int], end: list[int]) -> None:
     for ref in node.referenced_names():
-        target = node_map.get(ref)
-        if target is None:
+        target_index = position.get(ref)
+        if target_index is None:
             raise GraphError(f"node {node.name!r} references unknown node {ref!r}")
-        if target.type is not NodeType.TERMINAL:
+        target = nodes[target_index]
+        if target.type is not _TERMINAL:
             raise GraphError(f"node {node.name!r} references non-terminal node {ref!r}")
-        if order[target.name] >= order[node.name]:
+        if target_index >= index:
             raise GraphError(
                 f"node {node.name!r} references {ref!r} which is serialized after it"
             )
-        _check_reference_scoping(node, target)
-
-
-def _check_reference_scoping(node: Node, target: Node) -> None:
-    """Every variable-arity ancestor of the target must also enclose the referencing node.
-
-    Otherwise the parser could not tell which instance of the target's value to
-    use (repetitions) or whether the value exists at all (optionals).
-    """
-    node_ancestors = {id(ancestor) for ancestor in node.ancestors()}
-    for ancestor in target.ancestors():
-        if ancestor.type in (NodeType.REPETITION, NodeType.TABULAR, NodeType.OPTIONAL):
-            if id(ancestor) not in node_ancestors:
+        # Every variable-arity ancestor of the target must also enclose the
+        # referencing node, otherwise the parser could not tell which instance
+        # of the target's value to use (repetitions) or whether the value
+        # exists at all (optionals).  The target precedes the node, so an
+        # ancestor encloses it exactly when the node sits before the
+        # ancestor's subtree end; the root encloses every node.
+        ancestor = target.parent
+        while ancestor is not None and ancestor is not graph.root:
+            if ancestor.type in _VARIABLE_ARITY and index >= end[position[ancestor.name]]:
                 raise GraphError(
                     f"node {node.name!r} references {target.name!r} across the "
                     f"{ancestor.type.value} node {ancestor.name!r}"
                 )
+            ancestor = ancestor.parent
 
 
 def _check_obfuscation_metadata(node: Node) -> None:
     if node.synthesis is not None:
-        if node.type is not NodeType.SEQUENCE:
+        if node.type is not _SEQUENCE:
             raise GraphError(f"synthesis node {node.name!r} must be a sequence")
-        if not all(child.type is NodeType.TERMINAL for child in node.children):
+        if not all(child.type is _TERMINAL for child in node.children):
             raise GraphError(f"synthesis node {node.name!r} must have terminal children")
         derived = {
             child.boundary.ref
             for child in node.children
-            if child.boundary.kind is BoundaryKind.LENGTH
+            if child.boundary.kind is _LENGTH
         }
         value_children = [child for child in node.children if child.name not in derived]
         if len(value_children) != 2:
@@ -178,22 +215,22 @@ def _check_obfuscation_metadata(node: Node) -> None:
         if node.origin is None:
             raise GraphError(f"synthesis node {node.name!r} must carry a logical origin")
     if node.mirrored:
-        if node.boundary.kind is BoundaryKind.DELIMITED:
+        if node.boundary.kind is _DELIMITED:
             raise GraphError(f"mirrored node {node.name!r} cannot use a delimited boundary")
         if not parse_window_known(node):
             raise GraphError(
                 f"mirrored node {node.name!r} has no parse-time determinable extent"
             )
     for op in node.codec_chain:
-        if node.type is not NodeType.TERMINAL:
+        if node.type is not _TERMINAL:
             raise GraphError(f"only terminals may carry a codec chain ({node.name!r})")
-        if op.bytewise and node.boundary.kind is BoundaryKind.DELIMITED:
+        if op.bytewise and node.boundary.kind is _DELIMITED:
             raise GraphError(
                 f"bytewise value operation on delimited terminal {node.name!r} could "
                 f"collide with the delimiter"
             )
         if not op.bytewise:
-            if node.value_kind is not ValueKind.UINT:
+            if node.value_kind is not _UINT:
                 raise GraphError(
                     f"integer value operation on non-uint terminal {node.name!r}"
                 )
@@ -203,7 +240,27 @@ def _check_obfuscation_metadata(node: Node) -> None:
                 )
 
 
-def _check_window_layout(graph: FormatGraph) -> None:
+def _greedy_flags(nodes: list[Node], position: dict[str, int]) -> list[bool]:
+    """:func:`~repro.core.graph.is_greedy` of every node, children before parents."""
+    greedy = [False] * len(nodes)
+    for index in range(len(nodes) - 1, -1, -1):
+        node = nodes[index]
+        kind = node.boundary.kind
+        if kind is _FIXED or kind is _LENGTH or kind is _DELIMITED or kind is _COUNTER:
+            continue
+        if node.type is _TERMINAL:
+            greedy[index] = True  # END-bounded terminal
+        elif node.type is _REPETITION:
+            greedy[index] = kind is _END
+        elif node.type is _OPTIONAL:  # its one child follows it in pre-order
+            greedy[index] = node.presence_ref is None or greedy[index + 1]
+        elif node.type is not _TABULAR:
+            # Sequence with a DELEGATED or END boundary: greedy when any child is.
+            greedy[index] = any(greedy[position[child.name]] for child in node.children)
+    return greedy
+
+
+def _check_window_layout(nodes: list[Node], position: dict[str, int]) -> None:
     """Greedy nodes (END/remaining-bytes semantics) must sit in tail position.
 
     A node whose parsing consumes the rest of its enclosing window (END
@@ -211,38 +268,21 @@ def _check_window_layout(graph: FormatGraph) -> None:
     one) must not be followed by any sibling content in the same window,
     otherwise the parser would swallow that content.  Nodes that open their
     own window (Length boundary, mirrored regions) reset the rule for their
-    children.
+    children.  Tail flags flow top-down, so the first offender in pre-order
+    is reported.
     """
-
-    def visit(node: Node, tail_allowed: bool) -> None:
-        if is_greedy(node) and not tail_allowed:
+    greedy = _greedy_flags(nodes, position)
+    tail_allowed = [True] + [False] * (len(nodes) - 1)
+    for index, node in enumerate(nodes):
+        if greedy[index] and not tail_allowed[index]:
             raise GraphError(
                 f"greedy node {node.name!r} is not in tail position of its window"
             )
-        opens_window = node.boundary.kind is BoundaryKind.LENGTH or node.mirrored
-        child_tail_base = True if opens_window else tail_allowed
-        if node.type is NodeType.SEQUENCE:
-            for index, child in enumerate(node.children):
-                visit(child, child_tail_base and index == len(node.children) - 1)
-        elif node.type is NodeType.OPTIONAL:
-            visit(node.children[0], child_tail_base)
-        elif node.type in (NodeType.REPETITION, NodeType.TABULAR):
-            # Elements are never in tail position: another element (or the
-            # terminator) may follow the current one.
-            visit(node.children[0], False)
-
-    visit(graph.root, True)
-
-
-def _check_length_target_uniqueness(graph: FormatGraph) -> None:
-    """A terminal may back at most one LENGTH boundary (counters may be shared)."""
-    length_sources: dict[str, str] = {}
-    for node in graph.nodes():
-        if node.boundary.kind is BoundaryKind.LENGTH:
-            ref = node.boundary.ref  # type: ignore[assignment]
-            previous = length_sources.get(ref)
-            if previous is not None:
-                raise GraphError(
-                    f"terminal {ref!r} is the length of both {previous!r} and {node.name!r}"
-                )
-            length_sources[ref] = node.name
+        # Only a Sequence's last child and an Optional's child inherit the
+        # tail position: elements of a Repetition or Tabular never do, since
+        # another element (or the terminator) may follow the current one.
+        if node.type is _SEQUENCE or node.type is _OPTIONAL:
+            opens_window = node.boundary.kind is _LENGTH or node.mirrored
+            tail_allowed[position[node.children[-1].name]] = (
+                opens_window or tail_allowed[index]
+            )

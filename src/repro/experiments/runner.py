@@ -29,6 +29,7 @@ from typing import Sequence
 
 from ..analysis.regression import LinearFit, linear_regression
 from ..analysis.stats import Summary, summarize
+from ..codegen.cache import cached_module
 from ..codegen.emitter import generate_module
 from ..codegen.loader import GeneratedCodec
 from ..metrics.cost import measure_messages, summarize as summarize_cost
@@ -201,7 +202,7 @@ class ExperimentRunner:
 
         With ``plan`` the obfuscation engine is skipped entirely: the plan is
         deterministically replayed on the shared reference graph — no RNG, no
-        per-step validation, shared compiled codec plan — which is the
+        per-step validation, shared compiled codec plan and module — which is the
         replay-vs-re-derive speedup measured by ``benchmarks/test_bench_plan_replay.py``.
         """
         run_seed = self.seed * 10_000 + passes * 100 + run_index
@@ -220,7 +221,9 @@ class ExperimentRunner:
         generation_ms = (time.perf_counter() - start) * 1000.0
         potency = measure_source(source)
         normalized = potency.normalized(self.reference_potency())
-        codec = GeneratedCodec(obfuscated, seed=run_seed, source=source)
+        # The runs of a replayed level speak one plan-stamped dialect: one module.
+        module = cached_module(obfuscated, specialize=False) if plan is not None else None
+        codec = GeneratedCodec(obfuscated, seed=run_seed, source=source, module=module)
         message_rng = Random(run_seed + 1)
         workload = [
             self.setup.message_generator(message_rng) for _ in range(self.messages_per_run)

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, ClassVar
 
-from ..core.boundary import BoundaryKind
 from ..core.errors import TransformError
 from ..core.graph import FormatGraph
 from ..core.node import Node
@@ -182,24 +181,9 @@ class Transformation(ABC):
 # ---------------------------------------------------------------------------
 
 
-def is_ref_target(graph: FormatGraph, node: Node) -> bool:
-    """True when some boundary or presence condition references ``node``."""
-    return graph.is_ref_target(node.name)
-
-
 def parent_is_synthesis(node: Node) -> bool:
     """True when the node is a value child of a Split*-created synthesis sequence."""
     return node.parent is not None and node.parent.synthesis is not None
-
-
-def inside_repetition(node: Node) -> bool:
-    """True when the node lives under a Repetition or Tabular node."""
-    from ..core.node import NodeType
-
-    return any(
-        ancestor.type in (NodeType.REPETITION, NodeType.TABULAR)
-        for ancestor in node.ancestors()
-    )
 
 
 def replace_node(graph: FormatGraph, old: Node, new: Node) -> None:
@@ -234,10 +218,3 @@ def cross_sibling_references(children: list[Node]) -> bool:
                 if ref in sibling_names and ref not in own_names:
                     return True
     return False
-
-
-def delimited_ancestor_chain(node: Node) -> bool:
-    """True when an ancestor uses a DELIMITED boundary (terminator scanning)."""
-    return any(
-        ancestor.boundary.kind is BoundaryKind.DELIMITED for ancestor in node.ancestors()
-    )

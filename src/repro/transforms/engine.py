@@ -73,13 +73,11 @@ class Obfuscator:
     """Applies randomly selected generic transformations to a format graph."""
 
     def __init__(self, transformations: list[Transformation] | None = None,
-                 *, seed: int | None = None, rng: Random | None = None,
-                 validate_each_step: bool = True):
+                 *, seed: int | None = None, rng: Random | None = None):
         self.transformations = (
             list(transformations) if transformations is not None else default_transformations()
         )
         self._rng = rng if rng is not None else Random(seed if seed is not None else 0)
-        self.validate_each_step = validate_each_step
 
     # -- public API -----------------------------------------------------------
 
@@ -154,13 +152,12 @@ class Obfuscator:
             record = transformation.apply(graph, node, self._rng)
         except NotApplicableError:
             return None
-        if self.validate_each_step:
-            try:
-                validate_graph(graph)
-            except Exception as exc:  # pragma: no cover - guards against transform bugs
-                raise TransformError(
-                    f"transformation {transformation.name} left the graph invalid: {exc}"
-                ) from exc
+        try:
+            validate_graph(graph)
+        except Exception as exc:  # pragma: no cover - guards against transform bugs
+            raise TransformError(
+                f"transformation {transformation.name} left the graph invalid: {exc}"
+            ) from exc
         return record
 
 

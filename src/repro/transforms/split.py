@@ -35,7 +35,6 @@ from .base import (
     Transformation,
     TransformationCategory,
     TransformationRecord,
-    is_ref_target,
     parent_is_synthesis,
     replace_node,
 )
@@ -49,7 +48,7 @@ def _plain_user_terminal(graph: FormatGraph, node: Node) -> bool:
         and node.origin is not None
         and not node.codec_chain
         and not node.mirrored
-        and not is_ref_target(graph, node)
+        and not graph.is_ref_target(node.name)
         and not parent_is_synthesis(node)
     )
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import re
+from random import Random
+
 import pytest
 
 from repro.core import (
@@ -29,7 +33,10 @@ from repro.core import (
     validate_graph,
 )
 from repro.core.builder import assign_origins
-from repro.core.graph import FormatGraph
+from repro.core.graph import FormatGraph, is_greedy
+from repro.core.validate import _greedy_flags, _walk
+from repro.protocols import registry
+from repro.transforms import Obfuscator
 
 
 class TestMessage:
@@ -162,6 +169,11 @@ class TestOriginAssignment:
         assert graph.require("count").origin is None
 
 
+def _exact(message: str) -> str:
+    """A ``pytest.raises`` pattern matching exactly ``message``."""
+    return f"^{re.escape(message)}$"
+
+
 class TestValidation:
     def _valid(self):
         return build_graph(sequence("root", [uint("a", 1)]), "demo")
@@ -173,42 +185,49 @@ class TestValidation:
         graph = FormatGraph(Node("root", NodeType.SEQUENCE, Boundary.delegated(),
                                  children=[uint("a", 1)]))
         graph.root.children = []
-        with pytest.raises(GraphError):
+        message = "sequence 'root' must have at least one child"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(graph)
 
     def test_optional_requires_single_child(self):
         node = optional("o", uint("a", 1))
         node.add_child(uint("b", 1))
-        with pytest.raises(GraphError):
+        message = "optional node 'o' must have exactly one child, got 2"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [node])))
 
     def test_uint_requires_fixed_boundary(self):
         bad = Node("u", NodeType.TERMINAL, Boundary.end(), value_kind=ValueKind.UINT)
-        with pytest.raises(GraphError):
+        message = "uint terminal 'u' requires a fixed boundary"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [bad])))
 
     def test_tabular_requires_counter_boundary(self):
         bad = Node("t", NodeType.TABULAR, Boundary.end(), children=[uint("a", 1)])
-        with pytest.raises(GraphError):
+        message = "tabular 't' must use a counter boundary"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [uint("c", 1), bad])))
 
     def test_counter_reference_must_exist(self):
         graph = FormatGraph(sequence("root", [tabular("t", uint("a", 1), counter="nope")]))
-        with pytest.raises(GraphError):
+        message = "node 't' references unknown node 'nope'"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(graph)
 
     def test_reference_must_precede_user(self):
         data = fixed_bytes("data", 4)
         data.boundary = Boundary.length("len")
         root = sequence("root", [data, uint("len", 2)])
-        with pytest.raises(GraphError):
+        message = "node 'data' references 'len' which is serialized after it"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(root))
 
     def test_reference_must_be_terminal(self):
         inner = sequence("inner", [uint("a", 1)])
         data = fixed_bytes("data", 4)
         data.boundary = Boundary.length("inner")
-        with pytest.raises(GraphError):
+        message = "node 'data' references non-terminal node 'inner'"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [inner, data])))
 
     def test_reference_cannot_cross_repetition(self):
@@ -216,14 +235,16 @@ class TestValidation:
         data = fixed_bytes("data", 4)
         data.boundary = Boundary.length("len")
         # the repetition is greedy, so place the data before it to isolate the scoping error
-        with pytest.raises(GraphError):
+        message = "node 'data' references 'len' across the repetition node 'rep'"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [counter_inside, data])))
 
     def test_length_field_must_be_uint(self):
         length = delimited_text("len", b" ")
         data = fixed_bytes("data", 4)
         data.boundary = Boundary.length("len")
-        with pytest.raises(GraphError):
+        message = "terminal 'len' is a length/counter field and must be a fixed-size uint"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [length, data])))
 
     def test_length_field_cannot_be_shared(self):
@@ -232,7 +253,8 @@ class TestValidation:
         first.boundary = Boundary.length("len")
         second = fixed_bytes("b", 4)
         second.boundary = Boundary.length("len")
-        with pytest.raises(GraphError):
+        message = "terminal 'len' is the length of both 'a' and 'b'"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [length, first, second])))
 
     def test_counter_can_be_shared(self):
@@ -244,7 +266,8 @@ class TestValidation:
 
     def test_greedy_node_must_be_last(self):
         root = sequence("root", [remaining_bytes("rest"), uint("after", 1)])
-        with pytest.raises(GraphError):
+        message = "greedy node 'rest' is not in tail position of its window"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(root))
 
     def test_greedy_node_allowed_in_tail(self):
@@ -260,19 +283,25 @@ class TestValidation:
     def test_mirrored_delimited_rejected(self):
         node = delimited_text("t", b" ")
         node.mirrored = True
-        with pytest.raises(GraphError):
+        message = "mirrored node 't' cannot use a delimited boundary"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [node])))
 
     def test_bytewise_chain_on_delimited_rejected(self):
         node = delimited_text("t", b" ")
         node.codec_chain = (ValueOp(ValueOpKind.XOR, 3, bytewise=True),)
-        with pytest.raises(GraphError):
+        message = (
+            "bytewise value operation on delimited terminal 't' could "
+            "collide with the delimiter"
+        )
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [node])))
 
     def test_integer_chain_width_must_match(self):
         node = uint("t", 2)
         node.codec_chain = (ValueOp(ValueOpKind.ADD, 3, bytewise=False, width=1),)
-        with pytest.raises(GraphError):
+        message = "integer value operation width mismatch on terminal 't'"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [node])))
 
     def test_synthesis_requires_two_value_children(self):
@@ -284,21 +313,173 @@ class TestValidation:
             origin=FieldPath.parse("field"),
             synthesis=Synthesis(SynthesisOp.ADD, ValueKind.UINT, width=2),
         )
-        with pytest.raises(GraphError):
+        message = "synthesis node 'syn' must have exactly two value-carrying sub-nodes (found 1)"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [bad])))
 
     def test_pad_with_origin_rejected(self):
         pad = Node("p", NodeType.TERMINAL, Boundary.fixed(2), value_kind=ValueKind.BYTES,
                    is_pad=True, origin=FieldPath.parse("p"))
-        with pytest.raises(GraphError):
+        message = "pad terminal 'p' cannot carry a logical origin"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [pad])))
 
     def test_stale_parent_link_detected(self):
         root = sequence("root", [uint("a", 1)])
         root.children[0].parent = None
-        with pytest.raises(GraphError):
+        message = "node 'a' has a stale parent link (expected 'root')"
+        with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(root))
+
+    def test_duplicate_name_rejected(self):
+        root = sequence("root", [uint("a", 1), sequence("inner", [uint("a", 2)])])
+        message = "duplicate node name 'a' in graph 'protocol'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(root))
+
+    def test_reference_cannot_cross_optional(self):
+        guarded = optional("opt", uint("len", 2), presence_ref="flag", presence_value=1)
+        data = fixed_bytes("data", 4)
+        data.boundary = Boundary.length("len")
+        message = "node 'data' references 'len' across the optional node 'opt'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(sequence("root", [uint("flag", 1), guarded, data])))
+
+    def test_reference_cannot_cross_tabular(self):
+        column = tabular("tab", uint("len", 2), counter="count")
+        data = fixed_bytes("data", 4)
+        data.boundary = Boundary.length("len")
+        message = "node 'data' references 'len' across the tabular node 'tab'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(sequence("root", [uint("count", 1), column, data])))
+
+    def test_reference_within_one_tabular_element_is_allowed(self):
+        data = fixed_bytes("data", 4)
+        data.boundary = Boundary.length("len")
+        row = sequence("row", [uint("len", 2), data])
+        root = sequence("root", [uint("count", 1), tabular("tab", row, counter="count")])
+        validate_graph(build_graph(root, "demo"))
+
+    def test_greedy_tail_of_mirrored_region(self):
+        def graph(*children):
+            region = sequence("region", list(children), boundary=Boundary.end())
+            region.mirrored = True
+            return FormatGraph(sequence("root", [uint("x", 1), region]))
+
+        validate_graph(graph(uint("a", 1), remaining_bytes("rest")))
+        message = "greedy node 'rest' is not in tail position of its window"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph(remaining_bytes("rest"), uint("b", 1)))
+
+    def test_rule_order_decides_reported_error(self):
+        def graph(*extra):
+            first = fixed_bytes("a", 4)
+            first.boundary = Boundary.length("len")
+            second = fixed_bytes("b", 4)
+            second.boundary = Boundary.length("len")
+            # 'len' backs two LENGTH boundaries and 'rest' is greedy but not last.
+            children = [uint("len", 2), first, second, remaining_bytes("rest"), *extra]
+            return FormatGraph(sequence("root", children + [uint("after", 1)]))
+
+        # Shared LENGTH targets are reported before window layout ...
+        message = "terminal 'len' is the length of both 'a' and 'b'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph())
+        # ... any per-node rule before both ...
+        message = "node 't' references unknown node 'nope'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph(tabular("t", uint("x", 1), counter="nope")))
+        # ... and a duplicate name before everything.
+        message = "duplicate node name 'x' in graph 'protocol'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph(tabular("t", uint("x", 1), counter="nope"), uint("x", 1)))
 
     def test_protocol_graphs_validate(self, protocol_case):
         _, graph_factory, _ = protocol_case
         validate_graph(graph_factory())
+
+
+def _mutate(graph: FormatGraph, rng: Random) -> FormatGraph:
+    """A clone of ``graph`` with one or two seeded structural edits."""
+    mutant = graph.clone()
+    for _ in range(rng.choice((1, 1, 2))):
+        nodes = list(mutant.nodes())
+        node, other = rng.choice(nodes[1:]), rng.choice(nodes)
+        edit = rng.randrange(8)
+        if edit == 0:  # swap two children
+            parents = [candidate for candidate in nodes if len(candidate.children) >= 2]
+            if parents:
+                children = rng.choice(parents).children
+                i, j = rng.sample(range(len(children)), 2)
+                children[i], children[j] = children[j], children[i]
+        elif edit == 1:  # swap two boundaries
+            node.boundary, other.boundary = other.boundary, node.boundary
+        elif edit == 2:  # duplicate a name
+            node.name = other.name
+        elif edit == 3:  # stale parent link
+            node.parent = rng.choice((None, other))
+        elif edit == 4:  # toggle mirroring
+            node.mirrored = not node.mirrored
+        elif edit == 5:  # add a presence reference
+            node.presence_ref = other.name
+        elif edit == 6:  # move a subtree under another composite
+            inside = {id(descendant) for descendant in node.iter_subtree()}
+            hosts = [host for host in nodes if host.is_composite and id(host) not in inside]
+            if hosts and node.parent is not None and node in node.parent.children:
+                host = rng.choice(hosts)
+                node.parent.remove_child(node)
+                host.insert_child(rng.randrange(len(host.children) + 1), node)
+        else:  # re-point a LENGTH/COUNTER boundary
+            users = [user for user in nodes if user.boundary.ref is not None]
+            if users:
+                user = rng.choice(users)
+                user.boundary = user.boundary.with_ref(other.name)
+    return mutant
+
+
+def _verdict(graph: FormatGraph) -> str:
+    try:
+        validate_graph(graph)
+    except GraphError as exc:
+        return str(exc)
+    return "ok"
+
+
+class TestValidationCorpus:
+    """Verdicts and messages of a seeded corpus, pinned by a digest.
+
+    The corpus holds every registry direction obfuscated at levels 0-3 with
+    seeds 0-5, plus 40 seeded mutants of each.  The digest was recorded with
+    the multi-walk validator that preceded the one-walk rewrite; any change to
+    a verdict, a message or the rule order that picks the reported message
+    moves it.  Adding a protocol or changing a transformation moves it too,
+    and then it must be recorded again.
+    """
+
+    DIGEST = "004a3928e40286eb73f5f5e40833a8cd1756ac40ee38c09440e529150395e0bb"
+    VALID = 1829
+    INVALID = 6043
+
+    def test_corpus_verdicts_match_recorded_digest(self):
+        verdicts = []
+        for setup in registry.setups():
+            for direction, _, _ in setup.directions():
+                for level in range(4):
+                    for seed in range(6):
+                        graph = Obfuscator(seed=seed).obfuscate(
+                            setup.reference_graph(direction), level).graph
+                        rng = Random(f"{setup.key}/{direction}/{level}/{seed}")
+                        verdicts.append(_verdict(graph))
+                        verdicts.extend(_verdict(_mutate(graph, rng)) for _ in range(40))
+        valid = verdicts.count("ok")
+        digest = hashlib.sha256("\n".join(verdicts).encode()).hexdigest()
+        assert (digest, valid, len(verdicts) - valid) == (self.DIGEST, self.VALID, self.INVALID)
+
+    def test_window_layout_greedy_flags_match_is_greedy(self):
+        for setup in registry.setups():
+            for direction, _, _ in setup.directions():
+                for seed in range(3):
+                    graph = Obfuscator(seed=seed).obfuscate(
+                        setup.reference_graph(direction), 2).graph
+                    nodes, position, *_ = _walk(graph)
+                    assert _greedy_flags(nodes, position) == [is_greedy(n) for n in nodes]

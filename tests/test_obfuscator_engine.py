@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
 
 from repro.core import Message, TransformError, validate_graph
-from repro.protocols import http, modbus
+from repro.protocols import http, modbus, registry
 from repro.transforms import Obfuscator, family, obfuscate
 from repro.wire import WireCodec
 
@@ -110,6 +111,26 @@ class TestObfuscator:
     def test_module_level_helper(self, http_request_graph):
         result = obfuscate(http_request_graph, 1, seed=0)
         assert result.applied_count > 0
+
+    def test_derivations_match_recorded_digest(self):
+        """Plan fingerprints of every registry direction at level 2, seeds 0-4.
+
+        ChildMove picks its swap by validator verdicts and the engine
+        validates after every step, so a change to any verdict the engine
+        meets moves a fingerprint.  Recorded with the multi-walk validator
+        that preceded the one-walk rewrite; adding a protocol or changing a
+        transformation moves the digest, which must then be recorded again.
+        """
+        fingerprints = [
+            Obfuscator(seed=seed).obfuscate(setup.reference_graph(direction), 2)
+            .plan().fingerprint
+            for setup in registry.setups()
+            for direction, _, _ in setup.directions()
+            for seed in range(5)
+        ]
+        digest = hashlib.sha256("\n".join(fingerprints).encode()).hexdigest()
+        assert (len(fingerprints), digest) == (
+            40, "feadb3e6f47fdd498396e32160f18a3391f40c347af2b88f37f78cd3aa9f722d")
 
 
 class TestObfuscatedRoundTrips:
