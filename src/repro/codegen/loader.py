@@ -4,9 +4,9 @@ The generated source can be written to disk and imported like any module, or
 compiled and executed in memory for the benchmarks.  :class:`GeneratedCodec`
 wraps a loaded module behind the same ``serialize`` / ``parse`` interface as
 :class:`repro.wire.WireCodec`, which lets the test suite check that the two
-are byte-for-byte interchangeable; :class:`SpecializedCodec` does the same
-for the specializing emitter's straight-line modules, translating their
-``GeneratedCodecError`` back into the interpreted runtime's typed errors.
+are byte-for-byte interchangeable; :class:`SpecializedCodec` is the same
+wrapper over the specializing emitter's straight-line modules, which raise
+the interpreted runtime's typed errors themselves.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import types
 from pathlib import Path
 from random import Random
 
-from ..core.errors import CodegenError, ParseError, SerializationError
+from ..core.errors import CodegenError
 from ..core.graph import FormatGraph
 from ..core.message import Message
 from .emitter import EMITTER_VERSION, generate_module
@@ -57,13 +57,9 @@ def load_source(source: str, *, module_name: str | None = None,
         exec(code, module.__dict__)
     except SyntaxError as exc:  # pragma: no cover - emitter bugs only
         raise CodegenError(f"generated module does not compile: {exc}") from exc
-    declared = getattr(module, "__emitter_version__", None)
-    if declared is not None and declared != EMITTER_VERSION:
-        raise CodegenError(
-            f"generated module was emitted by emitter version {declared!r}, "
-            f"this runtime requires {EMITTER_VERSION!r}; regenerate it"
-        )
-    if require_version and declared is None:
+    if getattr(module, "__emitter_version__", None) is not None:
+        check_module_version(module)
+    elif require_version:
         raise CodegenError(
             "generated module carries no __emitter_version__ stamp; "
             f"this runtime requires {EMITTER_VERSION!r}; regenerate it"
@@ -112,46 +108,18 @@ class GeneratedCodec:
         return self.parse(self.serialize(logical)) == logical
 
 
-class SpecializedCodec:
+class SpecializedCodec(GeneratedCodec):
     """A loaded *specialized* module behind the WireCodec interface.
 
-    Failures raised by the module's ``GeneratedCodecError`` are translated
-    back into the interpreted runtime's typed errors with the same raw
-    message, offset and node identity, so callers observe byte-for-byte
-    identical behavior on malformed input.
+    Specialized modules raise the interpreted runtime's typed errors with the
+    same text, offset and node identity, so callers observe identical
+    behavior on malformed input.  They have no AST struct classes, so
+    :meth:`parse_ast` is unavailable.
     """
 
     def __init__(self, graph: FormatGraph, *, seed: int | None = None,
                  source: str | None = None,
                  module: types.ModuleType | None = None):
-        self.graph = graph
-        if module is not None:
-            self.source = source
-            self.module = module
-        else:
-            if source is None:
-                source = generate_module(graph, specialize=True)
-            self.source = source
-            self.module = load_source(source)
-        self._error = self.module.GeneratedCodecError
-        self._rng = Random(seed if seed is not None else 0)
-
-    def serialize(self, message: Message | dict) -> bytes:
-        """Serialize a logical message with the specialized module."""
-        logical = message.to_dict() if isinstance(message, Message) else message
-        try:
-            return self.module.serialize(logical, rng=self._rng)
-        except self._error as exc:
-            raise SerializationError(exc.raw) from exc
-
-    def parse(self, data: bytes, *, strict: bool = True) -> Message:
-        """Parse wire bytes with the specialized module."""
-        try:
-            return Message(self.module.parse(data, strict=strict))
-        except self._error as exc:
-            raise ParseError(exc.raw, offset=exc.offset, node=exc.node) from exc
-
-    def round_trips(self, message: Message | dict) -> bool:
-        """True when serialize→parse reproduces the logical message exactly."""
-        logical = message if isinstance(message, Message) else Message.from_dict(message)
-        return self.parse(self.serialize(logical)) == logical
+        if module is None and source is None:
+            source = generate_module(graph, specialize=True)
+        super().__init__(graph, seed=seed, source=source, module=module)

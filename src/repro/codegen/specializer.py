@@ -23,11 +23,14 @@ resolved at emit time.
   :func:`repro.core.fieldpath.accessor` bound as module constants, so the
   emitted module imports :mod:`repro.core.fieldpath`.
 
-The emitted module raises ``GeneratedCodecError`` carrying the *same* raw
-message, offset and node identity as the interpreted runtime's
-:class:`~repro.core.errors.ParseError`, so the
-:class:`~repro.codegen.loader.SpecializedCodec` wrapper can translate
-failures into byte-for-byte identical typed errors.
+The emitted module raises the runtime's own :mod:`repro.core.errors` classes
+with the interpreted tier's exact text (and, for
+:class:`~repro.core.errors.ParseError`, offset and node), so no wrapper
+translates failures.  Chains that fold neither into integer steps nor into
+byte tables, and uints without a fixed size, never occur in registry
+dialects; for them the module calls the runtime's value codecs
+(:mod:`repro.core.values` and the terminal encoders of
+:mod:`repro.wire.plan`) instead of carrying copies.
 """
 
 from __future__ import annotations
@@ -37,8 +40,13 @@ from ..core.errors import CodegenError
 from ..core.fieldpath import INDEX, FieldPath
 from ..core.graph import FormatGraph
 from ..core.node import Node, NodeType
-from ..core.values import SynthesisOp, ValueKind, ValueOp, ValueOpKind
-from ..wire.plan import _byte_tables, _compute_static_sizes
+from ..core.values import SynthesisOp, ValueKind, ValueOp
+from ..wire.plan import (
+    _byte_tables,
+    _compute_static_sizes,
+    _int_chain_steps,
+    _reference_maps,
+)
 
 _UINT_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -48,51 +56,15 @@ _UINT_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # ---------------------------------------------------------------------------
 
 
-def _int_steps(chain: tuple[ValueOp, ...], *, inverse: bool
-               ) -> list[tuple[str, int, int]] | None:
-    """``(op, constant, mask)`` steps of a pure-integer chain, or ``None``.
-
-    Mirrors the normalization of :func:`repro.wire.plan._int_chain_fn`:
-    subtractions (and inverted additions) become additions of the modular
-    complement, so each op is one ``(v + c) & mask`` or ``v ^ c`` step.
-    """
-    steps: list[tuple[str, int, int]] = []
-    ordered = reversed(chain) if inverse else chain
-    for op in ordered:
-        if op.bytewise or op.width is None:
-            return None
-        modulus = 1 << (8 * op.width)
-        mask = modulus - 1
-        constant = op.constant % modulus
-        if op.kind is ValueOpKind.XOR:
-            steps.append(("xor", constant, mask))
-        elif (op.kind is ValueOpKind.ADD) != inverse:
-            steps.append(("add", constant, mask))
-        else:
-            steps.append(("add", (modulus - constant) & mask, mask))
-    return steps
-
-
-def _fold_int_steps(expr: str, steps: list[tuple[str, int, int]]) -> str:
-    """Fold integer chain steps around ``expr`` as one nested expression."""
-    for op, constant, mask in steps:
-        if op == "add":
+def _fold_int_steps(expr: str, steps: list[tuple[bool, int, int]]) -> str:
+    """Fold normalized integer chain steps around ``expr`` as one expression."""
+    for is_add, constant, mask in steps:
+        if is_add:
             expr = f"(({expr} + {constant}) & {mask})"
         else:
             # XOR is applied without a result mask, exactly like ValueOp.
             expr = f"({expr} ^ {constant})"
     return expr
-
-
-def _chain_literal(chain: tuple[ValueOp, ...]) -> str:
-    """Render a chain as op tuples for the generic preamble interpreters."""
-    rendered = [
-        f"({op.kind.value!r}, {op.constant}, {op.bytewise}, {op.width!r})"
-        for op in chain
-    ]
-    if len(rendered) == 1:
-        return f"({rendered[0]},)"
-    return "(" + ", ".join(rendered) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +104,9 @@ class _SpecEmitter:
         self.nodes = list(graph.nodes())
         self.index = {node.name: i for i, node in enumerate(self.nodes)}
         self.node_map = {node.name: node for node in self.nodes}
-        # Reference maps, replicating compile_plan's construction order
-        # (length: last bounded node per ref wins; counter: first wins).
-        self.length_sources: dict[str, str] = {}
-        self.counter_sources: dict[str, Node] = {}
-        self.presence_refs: set[str] = set()
-        for node in self.nodes:
-            kind = node.boundary.kind
-            if kind is BoundaryKind.LENGTH and node.boundary.ref is not None:
-                self.length_sources[node.boundary.ref] = node.name
-            elif kind is BoundaryKind.COUNTER and node.boundary.ref is not None:
-                self.counter_sources.setdefault(node.boundary.ref, node)
-            if node.type is NodeType.OPTIONAL and node.presence_ref is not None:
-                self.presence_refs.add(node.presence_ref)
-        self.length_targets = frozenset(self.length_sources.values())
+        self.length_sources, self.counter_sources = _reference_maps(self.nodes)
+        self.length_targets = frozenset(
+            node.name for node in self.length_sources.values())
         self.ref_targets = frozenset(self.length_sources) | frozenset(self.counter_sources)
         self.static_sizes = _compute_static_sizes(graph.root)
         # -- emission state ---------------------------------------------------
@@ -162,6 +123,8 @@ class _SpecEmitter:
         self._zeros: set[int] = set()
         self._resolvers: dict[tuple, int] = {}
         self._accessors: dict[FieldPath, str] = {}
+        self._chains: dict[tuple[ValueOp, ...], str] = {}
+        self._encoders: list[str] = []
         self._needs: set[str] = set()
 
     # -- writer ---------------------------------------------------------------
@@ -207,6 +170,25 @@ class _SpecEmitter:
             self._accessors[path] = name
         bound = loops[:path.index_arity()]
         return name, f"({bound[0]},)" if len(bound) == 1 else f"({', '.join(bound)})"
+
+    def chain_const(self, chain: tuple[ValueOp, ...]) -> str:
+        """Module constant holding ``chain`` as a tuple of ``ValueOp``s."""
+        name = self._chains.get(chain)
+        if name is None:
+            name = f"_C{len(self._chains)}"
+            self._chains[chain] = name
+        return name
+
+    def encoder_const(self, node: Node, size: int | None, delim: bytes) -> str:
+        """Module constant holding the interpreted tier's encoder of ``node``."""
+        name = f"_ENC{len(self._encoders)}"
+        chain = self.chain_const(node.codec_chain) if node.codec_chain else "()"
+        self._encoders.append(
+            f"{name} = _compile_encode({node.name!r}, "
+            f"_values.ValueKind.{node.value_kind.name}, "
+            f"_values.Endian.{node.endian.name}, {size!r}, {delim!r}, {chain})"
+        )
+        return name
 
     def resolver_id(self, width: int, endian: str, chain: tuple[ValueOp, ...]) -> int:
         key = (width, endian, chain)
@@ -341,7 +323,7 @@ class _SpecEmitter:
     # ======================================================================
 
     def _p_raise(self, msg_expr: str, off_expr: str, node: str | None) -> None:
-        self.w(f"raise _E({msg_expr}, {off_expr}, {node!r})")
+        self.w(f"raise ParseError({msg_expr}, {off_expr}, {node!r})")
 
     def _p_ref_int(self, ref: str, node_name: str, st: _Win, *,
                    wrapped: bool) -> str:
@@ -423,13 +405,13 @@ class _SpecEmitter:
             self.w(f"{p} = {st.buf}.find({delim!r}, {st.off}, {st.end})")
             self.w(f"if {p} < 0:")
             template = f"delimiter {delim!r} not found [offset=%d]"
-            self.w(f"    raise _E({template!r} % {st.off}, {st.off}, {name!r})")
+            self.w(f"    raise ParseError({template!r} % {st.off}, {st.off}, {name!r})")
             return f"{st.buf}[{st.off}:{p}]"
         if kind is BoundaryKind.LENGTH:
             length = self._p_ref_int(node.boundary.ref or "", name, st, wrapped=True)
             self.w(f"if {length} < 0:")
             template = "cannot read a negative number of bytes (%d)"
-            self.w(f"    raise _E({template!r} % {length}, {st.off}, {name!r})")
+            self.w(f"    raise ParseError({template!r} % {length}, {st.off}, {name!r})")
             self._p_fixed_guard(st, length, name)
             return f"{st.buf}[{st.off}:{st.off} + {length}]"
         # END / DELEGATED: the rest of the window.
@@ -455,45 +437,38 @@ class _SpecEmitter:
 
     # -- terminal decoding ----------------------------------------------------
 
+    def _p_invert(self, expr: str, kind: ValueKind,
+                  chain: tuple[ValueOp, ...]) -> str:
+        """The runtime's ``invert_chain`` applied to ``expr`` (exotic chains)."""
+        return (f"_values.invert_chain({expr}, _values.ValueKind.{kind.name}, "
+                f"{self.chain_const(chain)})")
+
+    def _p_uint(self, base: str, chain: tuple[ValueOp, ...]) -> str:
+        """``base`` with the inverted integer chain folded in."""
+        steps = _int_chain_steps(chain, inverse=True)
+        if steps is None:
+            return self._p_invert(base, ValueKind.UINT, chain)
+        return _fold_int_steps(base, steps)
+
     def _p_decode(self, node: Node, raw: str, dst: str) -> None:
         """Emit the decode of ``raw`` into ``dst`` (chain inversion fused)."""
         kind = node.value_kind
         chain = node.codec_chain
         if kind is ValueKind.UINT:
             base = f"int.from_bytes({raw}, {node.endian.value!r})"
-            if not chain:
-                self.w(f"{dst} = {base}")
-                return
-            steps = _int_steps(chain, inverse=True)
-            if steps is not None:
-                self.w(f"{dst} = {_fold_int_steps(base, steps)}")
-                return
-            self._needs.add("chains")
-            self.w(f"{dst} = _chain_invert({base}, 'uint', {_chain_literal(chain)})")
+            self.w(f"{dst} = {self._p_uint(base, chain)}")
             return
-        if kind is ValueKind.BYTES:
-            if not chain:
-                self.w(f"{dst} = {raw}")
-                return
-            if all(op.bytewise for op in chain):
-                _, inverse = _byte_tables(chain)
-                self.w(f"{dst} = {raw}.translate({self.table_const(inverse)})")
-                return
-            self._needs.add("chains")
-            self.w(f"{dst} = _chain_invert({raw}, 'bytes', {_chain_literal(chain)})")
+        text = kind is ValueKind.TEXT
+        if chain and not all(op.bytewise for op in chain):
+            # Text is decoded before the chain is inverted, as in the runtime.
+            if text:
+                raw = f"{raw}.decode('latin-1')"
+            self.w(f"{dst} = {self._p_invert(raw, kind, chain)}")
             return
-        # TEXT
-        if not chain:
-            self.w(f"{dst} = {raw}.decode('latin-1')")
-            return
-        if all(op.bytewise for op in chain):
+        if chain:
             _, inverse = _byte_tables(chain)
-            self.w(f"{dst} = {raw}.translate({self.table_const(inverse)})"
-                   f".decode('latin-1')")
-            return
-        self._needs.add("chains")
-        self.w(f"{dst} = _chain_invert({raw}.decode('latin-1'), 'text', "
-               f"{_chain_literal(chain)})")
+            raw = f"{raw}.translate({self.table_const(inverse)})"
+        self.w(f"{dst} = {raw}.decode('latin-1')" if text else f"{dst} = {raw}")
 
     def _p_terminal(self, node: Node, st: _Win, *, prebounded: bool = False,
                     store_origin: bool = True) -> None:
@@ -520,17 +495,7 @@ class _SpecEmitter:
             # One-byte unsigned integer: index the buffer, no slice.
             self._p_fixed_guard(st, 1, node.name)
             base = f"{st.buf}[{st.off}]"
-            chain = node.codec_chain
-            if not chain:
-                self.w(f"{dst} = {base}")
-            else:
-                steps = _int_steps(chain, inverse=True)
-                if steps is not None:
-                    self.w(f"{dst} = {_fold_int_steps(base, steps)}")
-                else:
-                    self._needs.add("chains")
-                    self.w(f"{dst} = _chain_invert({base}, 'uint', "
-                           f"{_chain_literal(node.codec_chain)})")
+            self.w(f"{dst} = {self._p_uint(base, node.codec_chain)}")
             self.w(f"{st.off} += 1")
         else:
             raw = self._p_terminal_raw(node, st, prebounded)
@@ -558,7 +523,7 @@ class _SpecEmitter:
                                         wrapped=False)
             self.w(f"if {size_expr} < 0:")
             template = "cannot read a negative number of bytes (%d)"
-            self.w(f"    raise _E({template!r} % {size_expr}, None, None)")
+            self.w(f"    raise ParseError({template!r} % {size_expr}, None, None)")
         elif kind is BoundaryKind.END:
             size_expr = f"{st.end} - {st.off}"
         else:
@@ -595,10 +560,10 @@ class _SpecEmitter:
                                      wrapped=False)
             self.w(f"if {length} < 0:")
             template = "negative sub-window length (%d)"
-            self.w(f"    raise _E({template!r} % {length}, None, None)")
+            self.w(f"    raise ParseError({template!r} % {length}, None, None)")
             self.w(f"if {st.end} - {st.off} < {length}:")
             template = "sub-window of %d byte(s) exceeds the %d remaining byte(s)"
-            self.w(f"    raise _E({template!r} % ({length}, {st.end} - {st.off}), "
+            self.w(f"    raise ParseError({template!r} % ({length}, {st.end} - {st.off}), "
                    f"{st.off}, None)")
             end = self.var("e")
             self.w(f"{end} = {st.off} + {length}")
@@ -608,7 +573,7 @@ class _SpecEmitter:
     def _p_strict_check(self, node: Node, st: _Win) -> None:
         self.w(f"if {st.off} != {st.end}:")
         template = "%d byte(s) left inside bounded node"
-        self.w(f"    raise _E({template!r} % ({st.end} - {st.off}), "
+        self.w(f"    raise ParseError({template!r} % ({st.end} - {st.off}), "
                f"{st.off}, {node.name!r})")
 
     # -- node dispatch ---------------------------------------------------------
@@ -712,19 +677,9 @@ class _SpecEmitter:
         self.w(f"{st.off} += {total}")
         for child, tmp in post:
             dst = self.vvar(child.name)
-            kind = child.value_kind
-            chain = child.codec_chain
-            if kind is ValueKind.UINT:
-                steps = _int_steps(chain, inverse=True)
-                if steps is not None:
-                    self.w(f"{dst} = {_fold_int_steps(tmp, steps)}")
-                else:
-                    self._needs.add("chains")
-                    self.w(f"{dst} = _chain_invert({tmp}, 'uint', "
-                           f"{_chain_literal(chain)})")
-            elif kind is ValueKind.BYTES:
-                self._p_decode(child, tmp, dst)
-            else:  # TEXT: unpack produced bytes
+            if child.value_kind is ValueKind.UINT:
+                self.w(f"{dst} = {self._p_uint(tmp, child.codec_chain)}")
+            else:  # BYTES / TEXT: unpack produced bytes
                 self._p_decode(child, tmp, dst)
         for child, _, _ in run:
             if child.is_pad:
@@ -893,7 +848,7 @@ class _SpecEmitter:
         path = self.path_display(node.origin, self._sloops)
         self.w(f"if {value} is None:")
         template = f"logical message is missing field %s ({label} %r)"
-        self.w(f"    raise _E({template!r} % ({path}, {node.name!r}))")
+        self.w(f"    raise SerializationError({template!r} % ({path}, {node.name!r}))")
 
     def _s_node(self, node: Node) -> None:
         measured = node.name in self.length_targets
@@ -940,7 +895,7 @@ class _SpecEmitter:
             if node.origin is None:
                 template = (f"terminal {node.name!r} carries no logical origin "
                             f"and no derived value")
-                self.w(f"raise _E({template!r})")
+                self.w(f"raise SerializationError({template!r})")
                 return
             self.emit_get(x, node.origin, self._sloops)
             self._s_missing(node, x, "terminal")
@@ -949,8 +904,7 @@ class _SpecEmitter:
     def _s_length_slot(self, node: Node) -> None:
         width = node.boundary.size or 0
         rid = self.resolver_id(width, node.endian.value, node.codec_chain)
-        target = self.length_sources[node.name]
-        key = self._region_key(target)
+        key = self._region_key(self.length_sources[node.name].name)
         self._needs.add("slots")
         self.w(f"pend.append([len(out), {width}, False, {rid}, {key}])")
         self.w(f"out += {self.zero_const(width)}")
@@ -958,7 +912,7 @@ class _SpecEmitter:
     def _s_counter(self, node: Node, counted: Node) -> None:
         if counted.origin is None:
             template = f"counted node {counted.name!r} carries no logical origin"
-            self.w(f"raise _E({template!r})")
+            self.w(f"raise SerializationError({template!r})")
             return
         x = self.var("x")
         self.emit_get(x, counted.origin, self._sloops)
@@ -969,7 +923,7 @@ class _SpecEmitter:
         self.w(f"    {x} = len({x})")
         self.w("else:")
         template = "field %s is not a list"
-        self.w(f"    raise _E({template!r} % ({path},))")
+        self.w(f"    raise MessageError({template!r} % ({path},))")
         self._s_encode(node, x)
 
     def _s_encode(self, node: Node, x: str) -> None:
@@ -981,24 +935,17 @@ class _SpecEmitter:
         delim = (node.boundary.delimiter or b""
                  if node.boundary.kind is BoundaryKind.DELIMITED else b"")
         if kind is ValueKind.UINT:
-            steps = _int_steps(chain, inverse=False) if chain else []
-            if steps is None:
-                self._s_encode_generic(node, x, size, delim)
-                return
-            if size is None or size <= 0:
-                # UINT without a fixed size fails in encode_value; replicate.
+            steps = _int_chain_steps(chain, inverse=False)
+            if steps is None or size is None or size <= 0:
                 self._s_encode_generic(node, x, size, delim)
                 return
             modulus = 1 << (8 * size)
-            if not steps:
-                self.w(f"{x} = int({x})")
-            else:
-                self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
+            self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
             # A chain whose final mask fits the field never overflows it.
-            if not steps or steps[-1][2] >= modulus or steps[-1][0] == "xor":
+            if not steps or steps[-1][2] >= modulus or not steps[-1][0]:
                 self.w(f"if not 0 <= {x} < {modulus}:")
                 template = f"terminal {node.name!r}: value %d does not fit in {size} byte(s)"
-                self.w(f"    raise _E({template!r} % {x})")
+                self.w(f"    raise SerializationError({template!r} % {x})")
             if size == 1:
                 self.w(f"out.append({x})")
             else:
@@ -1017,13 +964,13 @@ class _SpecEmitter:
                 self.w(f"    {x} = {x}.encode('latin-1')")
                 self.w("else:")
                 template = f"cannot encode %s as {label}"
-                self.w(f"    raise _E({template!r} % type({x}).__name__)")
+                self.w(f"    raise SerializationError({template!r} % type({x}).__name__)")
                 self.w(f"{x} = {x}.translate({self.table_const(forward)})")
                 if size is not None:
                     self.w(f"if len({x}) != {size}:")
                     template = (f"terminal {node.name!r}: fixed-size field expects "
                                 f"{size} byte(s), value has %d")
-                    self.w(f"    raise _E({template!r} % len({x}))")
+                    self.w(f"    raise SerializationError({template!r} % len({x}))")
             elif chain:
                 self._s_encode_generic(node, x, size, delim)
                 return
@@ -1034,31 +981,25 @@ class _SpecEmitter:
                 self.w(f"    {x} = bytes({x})")
                 self.w("else:")
                 template = f"terminal {node.name!r}: cannot encode %s as {label}"
-                self.w(f"    raise _E({template!r} % type({x}).__name__)")
+                self.w(f"    raise SerializationError({template!r} % type({x}).__name__)")
                 if size is not None:
                     self.w(f"if len({x}) != {size}:")
                     template = (f"terminal {node.name!r}: fixed-size field expects "
                                 f"{size} byte(s), value has %d")
-                    self.w(f"    raise _E({template!r} % len({x}))")
+                    self.w(f"    raise SerializationError({template!r} % len({x}))")
             if delim:
                 self.w(f"if {delim!r} in {x}:")
                 template = (f"value of delimited terminal {node.name!r} contains "
                             f"its delimiter {delim!r}")
-                self.w(f"    raise _E({template!r})")
+                self.w(f"    raise SerializationError({template!r})")
             self.w(f"out += {x}")
         if delim:
             self.w(f"out += {delim!r}")
 
     def _s_encode_generic(self, node: Node, x: str, size: int | None,
                           delim: bytes) -> None:
-        """Exotic chains / sizeless uints: defer to the generic preamble path."""
-        self._needs.add("chains")
-        self._needs.add("encval")
-        if node.codec_chain:
-            self.w(f"{x} = _chain_apply({x}, {node.value_kind.value!r}, "
-                   f"{_chain_literal(node.codec_chain)})")
-        self.w(f"out += _enc_value({x}, {node.value_kind.value!r}, {size!r}, "
-               f"{node.endian.value!r}, {node.name!r}, {delim!r})")
+        """Exotic chains / sizeless uints: the interpreted tier's encoder."""
+        self.w(f"out += {self.encoder_const(node, size, delim)}({x})")
         if delim:
             self.w(f"out += {delim!r}")
 
@@ -1077,7 +1018,7 @@ class _SpecEmitter:
             return False
         if (child.boundary.size or 0) not in _UINT_FMT:
             return False
-        if child.codec_chain and _int_steps(child.codec_chain, inverse=False) is None:
+        if _int_chain_steps(child.codec_chain, inverse=False) is None:
             return False
         return True
 
@@ -1122,11 +1063,8 @@ class _SpecEmitter:
             assert child.origin is not None
             self.emit_get(x, child.origin, self._sloops)
             self._s_missing(child, x, "terminal")
-            steps = _int_steps(child.codec_chain, inverse=False) or []
-            if steps:
-                self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
-            else:
-                self.w(f"{x} = int({x})")
+            steps = _int_chain_steps(child.codec_chain, inverse=False)
+            self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
         self._needs.add("packfail")
         self.w("try:")
         self.w(f"    out += {struct_name}.pack({', '.join(names)})")
@@ -1142,7 +1080,7 @@ class _SpecEmitter:
     def _s_synthesis(self, node: Node) -> None:
         if node.origin is None:
             template = f"synthesis node {node.name!r} has no logical origin"
-            self.w(f"raise _E({template!r})")
+            self.w(f"raise SerializationError({template!r})")
             return
         x = self.var("x")
         self.emit_get(x, node.origin, self._sloops)
@@ -1182,7 +1120,7 @@ class _SpecEmitter:
             template = (f"synthesis node {node.name!r} has "
                         f"{'more' if len(value_children) > 2 else 'fewer'} "
                         f"value children than shares")
-            self.w(f"raise _E({template!r})")
+            self.w(f"raise SerializationError({template!r})")
             return
         for child in node.children:
             if child.name in self.length_sources:
@@ -1231,7 +1169,7 @@ class _SpecEmitter:
     def _s_repetition(self, node: Node) -> None:
         if node.origin is None:
             template = f"repeated node {node.name!r} has no logical origin"
-            self.w(f"raise _E({template!r})")
+            self.w(f"raise SerializationError({template!r})")
             return
         x = self.var("x")
         self.emit_get(x, node.origin, self._sloops)
@@ -1243,7 +1181,7 @@ class _SpecEmitter:
         self.w(f"    {n} = len({x})")
         self.w("else:")
         template = "field %s is not a list"
-        self.w(f"    raise _E({template!r} % ({path},))")
+        self.w(f"    raise MessageError({template!r} % ({path},))")
         loop = f"i{len(self._sloops)}"
         self.w(f"for {loop} in range({n}):")
         self.ind += 1
@@ -1262,6 +1200,8 @@ class _SpecEmitter:
     def emit(self) -> str:
         parse_body = self._emit_parse_body()
         serialize_body = self._emit_serialize_body()
+        # Constants before the preamble: slot resolvers may register chains.
+        constants = self._emit_constants()
         lines: list[str] = []
         stats = self.graph.stats()
         lines.append(
@@ -1279,7 +1219,7 @@ class _SpecEmitter:
         lines.append(f"__codec_key__ = {self.codec_key!r}")
         lines.append(self._emit_preamble())
         lines.append("# === generated code (emitted per specification) ===")
-        lines.append(self._emit_constants())
+        lines.append(constants)
         lines.extend(parse_body)
         lines.append("")
         lines.extend(serialize_body)
@@ -1312,7 +1252,7 @@ class _SpecEmitter:
             out.append(f"    {decl} = None")
         out.extend(body)
         out.append("    if strict and o != e:")
-        out.append("        raise _E('%d trailing byte(s) after the message'"
+        out.append("        raise ParseError('%d trailing byte(s) after the message'"
                    " % (e - o), o, None)")
         out.append("    return msg")
         return out
@@ -1351,42 +1291,29 @@ class _SpecEmitter:
         chunks = ["", "import random as _random"]
         if "struct" in needs:
             chunks.append("import struct as _struct")
+        chunks.append("")
+        chunks.append("from repro.core.errors import MessageError, ParseError, "
+                      "SerializationError")
         if self._accessors:
-            chunks.append("")
             chunks.append("from repro.core.fieldpath import INDEX as _INDEX")
             chunks.append("from repro.core.fieldpath import accessor as _accessor")
-        chunks.append("""
-
-class GeneratedCodecError(Exception):
-    \"\"\"Codec failure carrying the interpreted runtime's error identity.\"\"\"
-
-    def __init__(self, message, offset=None, node=None):
-        details = []
-        if node is not None:
-            details.append("node=%r" % (node,))
-        if offset is not None:
-            details.append("offset=%d" % (offset,))
-        suffix = " [%s]" % ", ".join(details) if details else ""
-        super().__init__(message + suffix)
-        self.raw = message
-        self.offset = offset
-        self.node = node
-
-
-_E = GeneratedCodecError""")
+        if self._chains or self._encoders:
+            chunks.append("from repro.core import values as _values")
+        if self._encoders:
+            chunks.append("from repro.wire.plan import _compile_encode")
         if "eof" in needs or "runfail" in needs:
             chunks.append("""
 
 def _eof(needed, avail, off, node):
-    raise _E(
+    raise ParseError(
         "unexpected end of data: needed %d byte(s), %d available [offset=%d]"
         % (needed, avail, off), off, node)""")
         if "eof0" in needs:
             chunks.append("""
 
 def _eof0(needed, avail, off):
-    raise _E("unexpected end of data: needed %d byte(s), %d available"
-             % (needed, avail), off, None)""")
+    raise ParseError("unexpected end of data: needed %d byte(s), %d available"
+                     % (needed, avail), off, None)""")
         if "runfail" in needs:
             chunks.append("""
 
@@ -1398,7 +1325,7 @@ def _run_fail(off, avail, parts):
         if used + size > avail:
             _eof(size, avail - used, off + used, name)
         used += size
-    raise _E("fused read failed", off, None)  # pragma: no cover""")
+    raise ParseError("fused read failed", off, None)  # pragma: no cover""")
         if "packfail" in needs:
             chunks.append("""
 
@@ -1407,9 +1334,9 @@ def _pack_fail(entries):
     for value, size, name in entries:
         value = int(value)
         if not 0 <= value < (1 << (8 * size)):
-            raise _E("terminal %r: value %d does not fit in %d byte(s)"
-                     % (name, value, size))
-    raise _E("fused pack failed")  # pragma: no cover""")
+            raise SerializationError("terminal %r: value %d does not fit in "
+                                     "%d byte(s)" % (name, value, size))
+    raise SerializationError("fused pack failed")  # pragma: no cover""")
         if "mirror" in needs:
             chunks.append("""
 
@@ -1425,79 +1352,22 @@ def _mirror(out, mark, pend):
         if position >= mark:
             slot[0] = mark + end - position - slot[1]
             slot[2] = not slot[2]""")
-        if "chains" in needs:
-            chunks.append("""
-
-def _chain_step(value, kind, op, inverse):
-    op_kind, constant, bytewise, width = op
-    if bytewise:
-        if isinstance(value, int):
-            raise _E("non-bytewise value operations only apply to UINT terminals")
-        data = value.encode("latin-1") if isinstance(value, str) else bytes(value)
-        out = bytearray()
-        for byte in data:
-            c = constant & 0xFF
-            if op_kind == "xor":
-                out.append(byte ^ c)
-            elif (op_kind == "add") != inverse:
-                out.append((byte + c) % 256)
-            else:
-                out.append((byte - c) % 256)
-        result = bytes(out)
-        return result.decode("latin-1") if kind == "text" else result
-    if kind != "uint":
-        raise _E("non-bytewise value operations only apply to UINT terminals")
-    if width is None:
-        raise _E("integer value operations require a width")
-    modulus = 1 << (8 * width)
-    c = constant % modulus
-    if op_kind == "xor":
-        return value ^ c
-    if (op_kind == "add") != inverse:
-        return (value + c) % modulus
-    return (value - c) % modulus
-
-
-def _chain_apply(value, kind, chain):
-    for op in chain:
-        value = _chain_step(value, kind, op, False)
-    return value
-
-
-def _chain_invert(value, kind, chain):
-    for op in reversed(chain):
-        value = _chain_step(value, kind, op, True)
-    return value""")
-        if "encval" in needs:
-            chunks.append("""
-
-def _enc_value(value, kind, size, endian, name, delimiter):
-    if kind == "uint":
-        if size is None:
-            raise _E("terminal %r: UINT terminals require a fixed size" % (name,))
-        value = int(value)
-        if not 0 <= value < (1 << (8 * size)):
-            raise _E("terminal %r: value %d does not fit in %d byte(s)"
-                     % (name, value, size))
-        return value.to_bytes(size, endian)
-    if isinstance(value, str):
-        data = value.encode("latin-1")
-    elif isinstance(value, (bytes, bytearray)):
-        data = bytes(value)
-    else:
-        raise _E("terminal %r: cannot encode %s as %s"
-                 % (name, type(value).__name__, kind))
-    if size is not None and len(data) != size:
-        raise _E("terminal %r: fixed-size field expects %d byte(s), "
-                 "value has %d" % (name, size, len(data)))
-    if delimiter and delimiter in data:
-        raise _E("value of delimited terminal %r contains its delimiter %r"
-                 % (name, delimiter))
-    return data""")
         return "\n".join(chunks) + "\n"
 
     def _emit_constants(self) -> str:
         lines = [""]
+        resolvers = []
+        for (width, endian, chain), _ in sorted(
+                self._resolvers.items(), key=lambda item: item[1]):
+            steps = _int_chain_steps(chain, inverse=False)
+            if steps is None:
+                expr = (f"_values.apply_chain(L, _values.ValueKind.UINT, "
+                        f"{self.chain_const(chain)})")
+            else:
+                expr = _fold_int_steps("L", steps)
+            modulus = 1 << (8 * width)
+            resolvers.append(f"    lambda L: (({expr}) % {modulus})"
+                             f".to_bytes({width}, {endian!r}),")
         for fmt, name in self._structs.items():
             lines.append(f"{name} = _struct.Struct({fmt!r})")
         for table, name in self._tables.items():
@@ -1508,28 +1378,22 @@ def _enc_value(value, kind, size, endian, name, delimiter):
             tokens = ["_INDEX" if step is INDEX else repr(step) for step in path]
             steps = f"({tokens[0]},)" if len(tokens) == 1 else f"({', '.join(tokens)})"
             lines.append(f"{name} = _accessor({steps})")
-        if self._resolvers:
+        # Exotic chains and sizeless uints run the interpreted tier's own
+        # value codecs (no registry dialect reaches these).
+        for chain, name in self._chains.items():
+            ops = "".join(
+                f"_values.ValueOp(_values.ValueOpKind.{op.kind.name}, "
+                f"{op.constant}, {op.bytewise}, {op.width!r}), "
+                for op in chain
+            )
+            lines.append(f"{name} = ({ops.rstrip()})")
+        lines.extend(self._encoders)
+        if resolvers:
             lines.append("")
             lines.append("# Length-slot resolvers: chain applied, value reduced")
             lines.append("# modulo the slot width, encoded at the slot's endianness.")
-            rendered = []
-            for (width, endian, chain), _ in sorted(
-                    self._resolvers.items(), key=lambda item: item[1]):
-                expr = "L"
-                steps = _int_steps(chain, inverse=False)
-                if steps is None and chain:
-                    # Exotic slot chains defer to the generic interpreter.
-                    self._needs.add("chains")
-                    expr = f"_chain_apply(L, 'uint', {_chain_literal(chain)})"
-                elif steps:
-                    expr = _fold_int_steps(expr, steps)
-                modulus = 1 << (8 * width)
-                rendered.append(
-                    f"    lambda L: (({expr}) % {modulus})"
-                    f".to_bytes({width}, {endian!r}),"
-                )
             lines.append("_RES = (")
-            lines.extend(rendered)
+            lines.extend(resolvers)
             lines.append(")")
         lines.append("")
         return "\n".join(lines)
@@ -1544,8 +1408,8 @@ def generate_specialized_module(graph: FormatGraph, *,
     The module exposes the same ``serialize(message, rng=None)`` /
     ``parse(data, strict=True)`` API as the readable generated library, is
     stamped with ``__specialized__ = True`` plus the emitter version, and
-    raises ``GeneratedCodecError`` with the interpreted runtime's exact error
-    message, offset and node identity.
+    raises the interpreted runtime's typed errors with the same text, offset
+    and node identity.
     """
     from .emitter import EMITTER_VERSION
 

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from ..core.errors import BudgetExceeded, SerializationError, StreamError
+from ..core.errors import BudgetExceeded, StreamError
 from ..core.graph import FormatGraph
 from ..core.message import Message
 from ..protocols import registry
@@ -347,24 +347,20 @@ class _SpecializedSerializer:
     over the *same* RNG — the byte stream stays identical either way.
     """
 
-    __slots__ = ("graph", "_module", "_error", "_rng", "_plan", "_interpreted")
+    __slots__ = ("graph", "_module", "_rng", "_plan", "_interpreted")
 
     def __init__(self, graph: FormatGraph, *, rng: Random, plan=None):
         from ..codegen.cache import cached_module
 
         self.graph = graph
         self._module = cached_module(graph, specialize=True)
-        self._error = self._module.GeneratedCodecError
         self._rng = rng
         self._plan = plan
         self._interpreted: Serializer | None = None
 
     def serialize(self, message: Message) -> bytes:
         logical = message.raw if isinstance(message, Message) else message
-        try:
-            return self._module.serialize(logical, rng=self._rng)
-        except self._error as exc:
-            raise SerializationError(exc.raw) from exc
+        return self._module.serialize(logical, rng=self._rng)
 
     def serialize_with_spans(self, message: Message):
         if self._interpreted is None:
@@ -655,27 +651,31 @@ class ObfuscatedServer:
         task = asyncio.current_task()
         if task is not None:
             self._active.add(task)
-        key_resolver = None
-        if book is not None:
-            key_resolver = lambda key_id: book.get(key_id).request_graph  # noqa: E731
-        decoder = make_decoder(endpoint.request_graph, endpoint.request_framing,
-                               plan=endpoint.request_plan,
-                               key_resolver=key_resolver,
-                               resync=self.resync,
-                               budget=self.budget,
-                               parser_factory=endpoint.parser_factory(
-                                   endpoint.request_framing))
         stats = SessionStats(session)
-        load = (self.governor.register(session)
-                if self.governor is not None else None)
-        pump = _MessagePump(reader, decoder, budget=self.budget,
-                            stats=stats, load=load)
-        response_serializer = (self._response_serializer if book is None
-                               else endpoint.serializer("response"))
-        request_fingerprint = endpoint.request_fingerprint
-        response_fingerprint = endpoint.response_fingerprint
-        idle = self.timeouts.idle_read
+        load = None
+        # From here on the session holds an admission slot: set-up failures
+        # (e.g. resync asked of native framing) take the same exit as any
+        # other failure, releasing the slot and recording the session.
         try:
+            key_resolver = None
+            if book is not None:
+                key_resolver = lambda key_id: book.get(key_id).request_graph  # noqa: E731
+            decoder = make_decoder(endpoint.request_graph, endpoint.request_framing,
+                                   plan=endpoint.request_plan,
+                                   key_resolver=key_resolver,
+                                   resync=self.resync,
+                                   budget=self.budget,
+                                   parser_factory=endpoint.parser_factory(
+                                       endpoint.request_framing))
+            if self.governor is not None:
+                load = self.governor.register(session)
+            pump = _MessagePump(reader, decoder, budget=self.budget,
+                                stats=stats, load=load)
+            response_serializer = (self._response_serializer if book is None
+                                   else endpoint.serializer("response"))
+            request_fingerprint = endpoint.request_fingerprint
+            response_fingerprint = endpoint.response_fingerprint
+            idle = self.timeouts.idle_read
             while True:
                 if idle is None:
                     decoded = await pump.next()

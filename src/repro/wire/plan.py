@@ -38,7 +38,7 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..core.boundary import BoundaryKind
 from ..core.errors import SerializationError
@@ -46,6 +46,7 @@ from ..core.fieldpath import FieldPath, accessor
 from ..core.graph import FormatGraph
 from ..core.node import Node, NodeType
 from ..core.values import (
+    Endian,
     Value,
     ValueKind,
     ValueOp,
@@ -77,16 +78,18 @@ def _byte_tables(chain: tuple[ValueOp, ...]) -> tuple[bytes, bytes]:
     return bytes(forward), bytes(inverse)
 
 
-def _int_chain_fn(chain: tuple[ValueOp, ...], *, inverse: bool
-                  ) -> Callable[[Value], Value] | None:
-    """Fuse a pure-integer chain into one closure over (add, xor) steps.
+def _int_chain_steps(chain: tuple[ValueOp, ...], *, inverse: bool
+                     ) -> list[tuple[bool, int, int]] | None:
+    """``(is_add, constant, mask)`` steps of a pure-integer chain, or ``None``.
 
     Every integer operation is either an addition modulo a power of two or a
     xor; subtractions (and inverted additions) normalize to additions of the
     complement, so one ``(v + c) & mask`` / ``v ^ c`` step per op remains.
     Returns ``None`` when the chain contains byte-wise or width-less ops.
+    Both the plan's closures and the specializer's folded expressions are
+    built from these steps.
     """
-    steps: list[tuple[bool, int, int]] = []  # (is_add, constant, mask)
+    steps: list[tuple[bool, int, int]] = []
     ordered = reversed(chain) if inverse else chain
     for op in ordered:
         if op.bytewise or op.width is None:
@@ -100,6 +103,15 @@ def _int_chain_fn(chain: tuple[ValueOp, ...], *, inverse: bool
             steps.append((True, constant, mask))
         else:  # subtraction: add the modular complement
             steps.append((True, (modulus - constant) & mask, mask))
+    return steps
+
+
+def _int_chain_fn(chain: tuple[ValueOp, ...], *, inverse: bool
+                  ) -> Callable[[Value], Value] | None:
+    """Fuse a pure-integer chain into one closure over its normalized steps."""
+    steps = _int_chain_steps(chain, inverse=inverse)
+    if steps is None:
+        return None
     if len(steps) == 1:
         is_add, constant, mask = steps[0]
         if is_add:
@@ -204,18 +216,16 @@ def _compile_decode(node: Node) -> Callable[[bytes], Value]:
     return lambda raw: invert(raw.decode("latin-1"))
 
 
-def _compile_encode(node: Node) -> Callable[[object], bytes]:
-    kind = node.value_kind
-    assert kind is not None
-    name = node.name
-    endian = node.endian
-    size = node.boundary.size if node.boundary.kind is BoundaryKind.FIXED else None
-    delimiter = (
-        node.boundary.delimiter or b""
-        if node.boundary.kind is BoundaryKind.DELIMITED
-        else b""
-    )
-    compiled = _compile_chain(kind, node.codec_chain)
+def _compile_encode(name: str, kind: ValueKind, endian: Endian, size: int | None,
+                    delimiter: bytes, chain: tuple[ValueOp, ...]
+                    ) -> Callable[[object], bytes]:
+    """Encoder of one terminal: codec chain, value encoding and checks fused.
+
+    Takes primitives rather than a node so that specialized modules build
+    their rare generic encoders (exotic chains, sizeless uints) from the very
+    function the interpreted tier runs.
+    """
+    compiled = _compile_chain(kind, chain)
     apply_ops = compiled[0] if compiled is not None else None
 
     if apply_ops is None and kind is ValueKind.UINT and size is not None and size > 0:
@@ -416,24 +426,36 @@ class CodecPlan:
         )
 
 
+def _reference_maps(nodes: Iterable[Node]) -> tuple[dict[str, Node], dict[str, Node]]:
+    """The derived-field maps of a graph's nodes, in one walk.
+
+    Returns ``(length_sources, counter_sources)``: length-field name -> the
+    LENGTH-bounded node it measures (the last one wins), and counter-field
+    name -> the COUNTER-bounded node it counts (the first one wins).
+    """
+    length_sources: dict[str, Node] = {}
+    counter_sources: dict[str, Node] = {}
+    for node in nodes:
+        ref = node.boundary.ref
+        if ref is None:
+            continue
+        kind = node.boundary.kind
+        if kind is BoundaryKind.LENGTH:
+            length_sources[ref] = node
+        elif kind is BoundaryKind.COUNTER:
+            counter_sources.setdefault(ref, node)
+    return length_sources, counter_sources
+
+
 def compile_plan(graph: FormatGraph) -> CodecPlan:
     """Compile ``graph`` into a fresh :class:`CodecPlan` (no caching)."""
-    ref_targets: set[str] = set()
-    length_sources: dict[str, Node] = {}
-    counter_sources: dict[str, tuple[str, FieldPath | None]] = {}
+    nodes = list(graph.nodes())
+    length_sources, counted = _reference_maps(nodes)
+    counter_sources = {ref: (node.name, node.origin) for ref, node in counted.items()}
     terminal_nodes: list[Node] = []
     origins: dict[str, FieldPath] = {}
     presence_refs: dict[str, str] = {}
-    for node in graph.nodes():
-        kind = node.boundary.kind
-        if kind is BoundaryKind.LENGTH and node.boundary.ref is not None:
-            ref_targets.add(node.boundary.ref)
-            length_sources[node.boundary.ref] = node
-        elif kind is BoundaryKind.COUNTER and node.boundary.ref is not None:
-            ref_targets.add(node.boundary.ref)
-            counter_sources.setdefault(
-                node.boundary.ref, (node.name, node.origin)
-            )
+    for node in nodes:
         if node.origin is not None:
             origins[node.name] = node.origin
         if node.type is NodeType.OPTIONAL and node.presence_ref is not None:
@@ -455,15 +477,20 @@ def compile_plan(graph: FormatGraph) -> CodecPlan:
     length_slots: dict[str, LengthSlot] = {}
     terminals: dict[str, TerminalPlan] = {}
     for node in terminal_nodes:
+        delimiter = (
+            node.boundary.delimiter or b""
+            if node.boundary.kind is BoundaryKind.DELIMITED
+            else b""
+        )
         terminals[node.name] = TerminalPlan(
             name=node.name,
             decode=_compile_decode(node),
-            encode=_compile_encode(node),
-            delimiter=(
-                node.boundary.delimiter or b""
-                if node.boundary.kind is BoundaryKind.DELIMITED
-                else b""
+            encode=_compile_encode(
+                node.name, node.value_kind, node.endian,
+                node.boundary.size if node.boundary.kind is BoundaryKind.FIXED else None,
+                delimiter, node.codec_chain,
             ),
+            delimiter=delimiter,
         )
         target = length_sources.get(node.name)
         if target is not None:
@@ -479,7 +506,7 @@ def compile_plan(graph: FormatGraph) -> CodecPlan:
             )
     return CodecPlan(
         graph_name=graph.name,
-        ref_targets=frozenset(ref_targets),
+        ref_targets=frozenset(length_sources) | frozenset(counter_sources),
         length_slots=length_slots,
         length_targets=frozenset(node.name for node in length_sources.values()),
         counter_sources=counter_sources,

@@ -13,6 +13,7 @@ from random import Random
 
 import pytest
 
+from repro.core.errors import StreamError
 from repro.net import (
     ChaosSchedule,
     CircuitBreaker,
@@ -499,6 +500,22 @@ class TestServerResilience:
             assert len(server.completed) == 6
             assert all(stats.error is None for stats in server.completed)
             assert peak <= 2
+
+        run(scenario())
+
+    def test_failed_session_set_up_releases_its_admission_slot(self):
+        async def scenario():
+            # Modbus frames natively, and native framing cannot resync: the
+            # decoder is refused after the session took the only slot.
+            server = ObfuscatedServer("modbus", resync=True, max_sessions=1)
+            for _ in range(2):
+                with pytest.raises(StreamError, match="cannot resynchronize"):
+                    await asyncio.wait_for(
+                        server.serve_session(*memory_pipe()[0]), 1.0)
+            assert len(server.completed) == 2
+            assert all(stats.error.startswith("StreamError: native framing")
+                       for stats in server.completed)
+            assert not server._active
 
         run(scenario())
 

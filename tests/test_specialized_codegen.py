@@ -9,6 +9,7 @@ loader refuses stale-emitter-version modules.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from random import Random
 
 import pytest
@@ -24,7 +25,10 @@ from repro.codegen import (
     load_source,
     module_cache_stats,
 )
+from repro.core.boundary import Boundary
+from repro.core.builder import build_graph, bytes_field, delimited_text, sequence, uint
 from repro.core.errors import CodegenError, ParseError
+from repro.core.values import ValueOp, ValueOpKind
 from repro.protocols import registry
 from repro.transforms import Obfuscator
 from repro.wire import WireCodec
@@ -33,6 +37,10 @@ from repro.wire.serializer import Serializer
 
 LEVELS = [0, 1, 2, 3, 4]
 
+#: Values put in place of each leaf and each list of a valid message.
+MUTANTS = (None, -1, 2**70, "x\r\n", bytes(300), [1], {"a": 1}, 3.5, "", b"")
+_DELETE = object()
+
 
 def dialect(graph_factory, level: int, *, seed: int = 1234):
     """Obfuscated dialect graph of one level (0 = the plain graph)."""
@@ -40,6 +48,58 @@ def dialect(graph_factory, level: int, *, seed: int = 1234):
     if level == 0:
         return graph
     return Obfuscator(seed=seed + level).obfuscate(graph, level).graph
+
+
+def outcome(call, *args):
+    """``("ok", result)`` or the raised exception's ``(class, text)``."""
+    try:
+        return "ok", call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def leaf_and_list_paths(value, path=()):
+    """Key/index paths of every leaf and every list inside a logical message."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from leaf_and_list_paths(child, path + (key,))
+        return
+    yield path
+    if isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from leaf_and_list_paths(child, path + (index,))
+
+
+def mutated(message: dict, path: tuple, replacement) -> dict:
+    """Copy of ``message`` with the value at ``path`` replaced or deleted."""
+    copy = deepcopy(message)
+    parent = copy
+    for step in path[:-1]:
+        parent = parent[step]
+    if replacement is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return copy
+
+
+def fallback_graphs():
+    """Validator-accepted graphs carrying a 2-byte uint whose chain folds
+    neither into integer steps nor into byte tables.  No transformation draws
+    such a chain, so only these graphs reach the specialized tier's generic
+    fallbacks: the terminal's encoder and decoder, and a length slot's
+    resolver.  Each graph is named after its value-carrying leaf."""
+    bytewise = ValueOp(ValueOpKind.XOR, 0x5A, bytewise=True)
+    for chain in ((bytewise,), (ValueOp(ValueOpKind.ADD, 0x1234, width=2), bytewise)):
+        field = uint("field", 2)
+        field.codec_chain = chain
+        yield build_graph(
+            sequence("msg", [field, delimited_text("tail", b"\r\n")]), "field")
+        length = uint("length", 2)
+        length.codec_chain = chain
+        yield build_graph(
+            sequence("msg", [length, bytes_field("body", Boundary.length("length"))]),
+            "body")
 
 
 class TestEmittedSource:
@@ -166,6 +226,45 @@ class TestErrorParity:
             assert type(caught.value) is type(exc)
         else:
             assert specialized.parse(data) == expected
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_serialize_errors_match_interpreted(self, protocol_case, level):
+        """Each leaf and list replaced by a bad value, or deleted: both tiers
+        give the same bytes, or the same exception class and text."""
+        _, graph_factory, generator = protocol_case
+        graph = dialect(graph_factory, level)
+        module = SpecializedCodec(graph).module
+        rng = Random(level)
+        for message in [generator(rng).to_dict() for _ in range(4)]:
+            for path in leaf_and_list_paths(message):
+                for replacement in (*MUTANTS, _DELETE):
+                    case = mutated(message, path, replacement)
+                    interpreted = outcome(Serializer(graph, rng=Random(0)).serialize,
+                                          case)
+                    specialized = outcome(
+                        SpecializedCodec(graph, seed=0, module=module).serialize, case)
+                    assert specialized == interpreted, (path, replacement)
+
+    def test_generic_fallbacks_match_interpreted(self):
+        """Exotic uint chains run the runtime's value codecs in both tiers."""
+        values = (0, 0x1234, 0x10000, -1, None, "x\r\n", b"ab", 3.5)
+        wires = (b"", b"\x00", b"\x12\x34", b"\x00\x02ab", b"\x12\x34t\r\n")
+        for graph in fallback_graphs():
+            specialized = SpecializedCodec(graph, seed=0)
+            # The emitted module really takes the fallback paths: the chained
+            # terminal's encoder or the length slot's resolver, and its decoder.
+            serialize_fallback = ("_compile_encode(" if graph.name == "field"
+                                  else "_values.apply_chain(")
+            assert serialize_fallback in specialized.source
+            assert "_values.invert_chain(" in specialized.source
+            for value in values:
+                message = {graph.name: value, "tail": "t"}
+                assert outcome(specialized.serialize, message) == outcome(
+                    Serializer(graph, rng=Random(0)).serialize, message), value
+            parser = Parser(graph)
+            for wire in wires:
+                assert outcome(specialized.parse, wire) == outcome(
+                    parser.parse, wire), wire
 
     def test_trailing_bytes_strict_and_lenient(self, modbus_request_graph, rng):
         codec = SpecializedCodec(modbus_request_graph, seed=0)
