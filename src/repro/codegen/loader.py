@@ -6,7 +6,10 @@ wraps a loaded module behind the same ``serialize`` / ``parse`` interface as
 :class:`repro.wire.WireCodec`, which lets the test suite check that the two
 are byte-for-byte interchangeable; :class:`SpecializedCodec` is the same
 wrapper over the specializing emitter's straight-line modules, which raise
-the interpreted runtime's typed errors themselves.
+the interpreted runtime's typed errors themselves.  It is the one wrapper of
+a specialized module: live sessions serialize and decode through it too, and
+its ``serialize_with_spans`` runs the interpreted serializer over the codec's
+own RNG, so recording spans leaves the byte stream unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from random import Random
 from ..core.errors import CodegenError
 from ..core.graph import FormatGraph
 from ..core.message import Message
+from ..wire.serializer import Serializer
+from ..wire.spans import FieldSpan
 from .emitter import EMITTER_VERSION, generate_module
 
 _MODULE_COUNTER = 0
@@ -38,8 +43,7 @@ def check_module_version(module: types.ModuleType) -> None:
         )
 
 
-def load_source(source: str, *, module_name: str | None = None,
-                require_version: bool = False) -> types.ModuleType:
+def load_source(source: str, *, require_version: bool = False) -> types.ModuleType:
     """Compile and execute generated source code, returning the module object.
 
     A module *declaring* an emitter version other than the current one is
@@ -49,7 +53,7 @@ def load_source(source: str, *, module_name: str | None = None,
     """
     global _MODULE_COUNTER
     _MODULE_COUNTER += 1
-    name = module_name or f"repro_generated_{_MODULE_COUNTER}"
+    name = f"repro_generated_{_MODULE_COUNTER}"
     module = types.ModuleType(name)
     module.__dict__["__file__"] = f"<generated:{name}>"
     try:
@@ -90,9 +94,22 @@ class GeneratedCodec:
         self._rng = Random(seed if seed is not None else 0)
 
     def serialize(self, message: Message | dict) -> bytes:
-        """Serialize a logical message with the generated library."""
-        logical = message.to_dict() if isinstance(message, Message) else message
+        """Serialize a logical message with the generated library.
+
+        The module reads the message's own dict (no copy): generated modules
+        never mutate their input.
+        """
+        logical = message.raw if isinstance(message, Message) else message
         return self.module.serialize(logical, rng=self._rng)
+
+    def serialize_with_spans(self, message: Message | dict
+                             ) -> tuple[bytes, list[FieldSpan]]:
+        """Serialize and return the field spans, through the interpreted tier.
+
+        Spans need the interpreted piece model; its serializer draws from this
+        codec's RNG exactly as the module does, so the bytes are the same.
+        """
+        return Serializer(self.graph, rng=self._rng).serialize_with_spans(message)
 
     def parse(self, data: bytes, *, strict: bool = True) -> Message:
         """Parse wire bytes with the generated library."""

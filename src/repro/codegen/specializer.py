@@ -26,11 +26,14 @@ resolved at emit time.
 The emitted module raises the runtime's own :mod:`repro.core.errors` classes
 with the interpreted tier's exact text (and, for
 :class:`~repro.core.errors.ParseError`, offset and node), so no wrapper
-translates failures.  Chains that fold neither into integer steps nor into
-byte tables, and uints without a fixed size, never occur in registry
-dialects; for them the module calls the runtime's value codecs
-(:mod:`repro.core.values` and the terminal encoders of
-:mod:`repro.wire.plan`) instead of carrying copies.
+translates failures.
+
+Only valid graphs are compiled: :func:`generate_specialized_module` runs
+:func:`repro.core.validate.validate_graph` first.  So every uint is a
+fixed-size terminal whose chain folds into integer steps, every bytes/text
+chain folds into one translation table, and every LENGTH/COUNTER reference
+names a non-pad uint terminal; no emitted path replays errors that only
+invalid graphs could raise.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from ..core.errors import CodegenError
 from ..core.fieldpath import INDEX, FieldPath
 from ..core.graph import FormatGraph
 from ..core.node import Node, NodeType
+from ..core.validate import validate_graph
 from ..core.values import SynthesisOp, ValueKind, ValueOp
 from ..wire.plan import (
     _byte_tables,
@@ -47,6 +51,7 @@ from ..wire.plan import (
     _int_chain_steps,
     _reference_maps,
 )
+from .emitter import EMITTER_VERSION
 
 _UINT_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -92,15 +97,12 @@ class _Win:
 class _SpecEmitter:
     """Builds the specialized module source for one format graph."""
 
-    def __init__(self, graph: FormatGraph, *, plan_fingerprint: str | None = None,
-                 codec_key: str | None = None, emitter_version: str = "?"):
+    def __init__(self, graph: FormatGraph, *, plan_fingerprint: str | None = None):
         self.graph = graph
         self.fingerprint = (
             plan_fingerprint if plan_fingerprint is not None
             else getattr(graph, "plan_fingerprint", None)
         )
-        self.codec_key = codec_key
-        self.emitter_version = emitter_version
         self.nodes = list(graph.nodes())
         self.index = {node.name: i for i, node in enumerate(self.nodes)}
         self.node_map = {node.name: node for node in self.nodes}
@@ -123,8 +125,6 @@ class _SpecEmitter:
         self._zeros: set[int] = set()
         self._resolvers: dict[tuple, int] = {}
         self._accessors: dict[FieldPath, str] = {}
-        self._chains: dict[tuple[ValueOp, ...], str] = {}
-        self._encoders: list[str] = []
         self._needs: set[str] = set()
 
     # -- writer ---------------------------------------------------------------
@@ -170,25 +170,6 @@ class _SpecEmitter:
             self._accessors[path] = name
         bound = loops[:path.index_arity()]
         return name, f"({bound[0]},)" if len(bound) == 1 else f"({', '.join(bound)})"
-
-    def chain_const(self, chain: tuple[ValueOp, ...]) -> str:
-        """Module constant holding ``chain`` as a tuple of ``ValueOp``s."""
-        name = self._chains.get(chain)
-        if name is None:
-            name = f"_C{len(self._chains)}"
-            self._chains[chain] = name
-        return name
-
-    def encoder_const(self, node: Node, size: int | None, delim: bytes) -> str:
-        """Module constant holding the interpreted tier's encoder of ``node``."""
-        name = f"_ENC{len(self._encoders)}"
-        chain = self.chain_const(node.codec_chain) if node.codec_chain else "()"
-        self._encoders.append(
-            f"{name} = _compile_encode({node.name!r}, "
-            f"_values.ValueKind.{node.value_kind.name}, "
-            f"_values.Endian.{node.endian.name}, {size!r}, {delim!r}, {chain})"
-        )
-        return name
 
     def resolver_id(self, width: int, endian: str, chain: tuple[ValueOp, ...]) -> int:
         key = (width, endian, chain)
@@ -327,44 +308,26 @@ class _SpecEmitter:
 
     def _p_ref_int(self, ref: str, node_name: str, st: _Win, *,
                    wrapped: bool) -> str:
-        """Emit the ``ref_value`` checks for ``ref``; return the value expr.
+        """Emit the ``ref_value`` check for ``ref``; return the value expr.
 
-        ``wrapped`` replays the :meth:`Parser._terminal_bytes` rewrapping:
-        the inner error string (with its own suffix) becomes the raw message
-        and the error carries ``offset=win.cursor``.
+        Validation makes ``ref`` a non-pad fixed-size uint terminal serialized
+        before the node, so the only replay left is a value the emitter cannot
+        prove assigned (e.g. parsed inside an absent optional).  ``wrapped``
+        replays the :meth:`Parser._terminal_bytes` rewrapping: the inner
+        error string (with its own suffix) becomes the raw message and the
+        error carries ``offset=win.cursor``.
         """
-        ref_node = self.node_map.get(ref)
-        if ref_node is None or ref_node.type is not NodeType.TERMINAL or ref_node.is_pad:
-            # The reference can never have been parsed.
-            if wrapped:
-                raw = f"reference {ref!r} has not been parsed yet [node={node_name!r}]"
-                self._p_raise(repr(raw), st.off, node_name)
-            else:
-                raw = f"reference {ref!r} has not been parsed yet"
-                self._p_raise(repr(raw), "None", node_name)
-            return "0"
         v = self.vvar(ref)
         if v not in self._assigned:
             self._pdecls.add(v)
+            raw = f"reference {ref!r} has not been parsed yet"
+            offset = "None"
             if wrapped:
-                raw = f"reference {ref!r} has not been parsed yet [node={node_name!r}]"
-                self.w(f"if {v} is None:")
-                self.ind += 1
-                self._p_raise(repr(raw), st.off, node_name)
-                self.ind -= 1
-            else:
-                raw = f"reference {ref!r} has not been parsed yet"
-                self.w(f"if {v} is None:")
-                self.ind += 1
-                self._p_raise(repr(raw), "None", node_name)
-                self.ind -= 1
-        if ref_node.value_kind is not ValueKind.UINT:
-            if wrapped:
-                raw = f"reference {ref!r} is not an integer [node={node_name!r}]"
-                self._p_raise(repr(raw), st.off, node_name)
-            else:
-                raw = f"reference {ref!r} is not an integer"
-                self._p_raise(repr(raw), "None", node_name)
+                raw, offset = f"{raw} [node={node_name!r}]", st.off
+            self.w(f"if {v} is None:")
+            self.ind += 1
+            self._p_raise(repr(raw), offset, node_name)
+            self.ind -= 1
         return v
 
     # -- terminal byte consumption --------------------------------------------
@@ -396,11 +359,7 @@ class _SpecEmitter:
             self._p_fixed_guard(st, size, name)
             return f"{st.buf}[{st.off}:{st.off} + {size}]"
         if kind is BoundaryKind.DELIMITED:
-            delim = node.boundary.delimiter or b""
-            if not delim:
-                self._p_raise(repr("cannot search for an empty delimiter"),
-                              st.off, name)
-                return "b''"
+            delim = node.boundary.delimiter
             p = self.var("p")
             self.w(f"{p} = {st.buf}.find({delim!r}, {st.off}, {st.end})")
             self.w(f"if {p} < 0:")
@@ -437,18 +396,9 @@ class _SpecEmitter:
 
     # -- terminal decoding ----------------------------------------------------
 
-    def _p_invert(self, expr: str, kind: ValueKind,
-                  chain: tuple[ValueOp, ...]) -> str:
-        """The runtime's ``invert_chain`` applied to ``expr`` (exotic chains)."""
-        return (f"_values.invert_chain({expr}, _values.ValueKind.{kind.name}, "
-                f"{self.chain_const(chain)})")
-
     def _p_uint(self, base: str, chain: tuple[ValueOp, ...]) -> str:
         """``base`` with the inverted integer chain folded in."""
-        steps = _int_chain_steps(chain, inverse=True)
-        if steps is None:
-            return self._p_invert(base, ValueKind.UINT, chain)
-        return _fold_int_steps(base, steps)
+        return _fold_int_steps(base, _int_chain_steps(chain, inverse=True))
 
     def _p_decode(self, node: Node, raw: str, dst: str) -> None:
         """Emit the decode of ``raw`` into ``dst`` (chain inversion fused)."""
@@ -458,34 +408,24 @@ class _SpecEmitter:
             base = f"int.from_bytes({raw}, {node.endian.value!r})"
             self.w(f"{dst} = {self._p_uint(base, chain)}")
             return
-        text = kind is ValueKind.TEXT
-        if chain and not all(op.bytewise for op in chain):
-            # Text is decoded before the chain is inverted, as in the runtime.
-            if text:
-                raw = f"{raw}.decode('latin-1')"
-            self.w(f"{dst} = {self._p_invert(raw, kind, chain)}")
-            return
-        if chain:
+        if chain:  # validation leaves bytes/text chains byte-wise only
             _, inverse = _byte_tables(chain)
             raw = f"{raw}.translate({self.table_const(inverse)})"
+        text = kind is ValueKind.TEXT
         self.w(f"{dst} = {raw}.decode('latin-1')" if text else f"{dst} = {raw}")
 
     def _p_terminal(self, node: Node, st: _Win, *, prebounded: bool = False,
                     store_origin: bool = True) -> None:
         """Emit parse + store of one terminal (the _parse_terminal path)."""
         if node.is_pad:
-            # Pads consume their extent and are discarded: zero-copy skip.
+            # Pads (fixed-size, by validation) consume their extent and are
+            # discarded: zero-copy skip.
             if prebounded:
                 self.w(f"{st.off} = {st.end}")
                 return
-            kind = node.boundary.kind
-            if kind is BoundaryKind.FIXED:
-                size = node.boundary.size or 0
-                self._p_fixed_guard(st, size, node.name)
-                self.w(f"{st.off} += {size}")
-                return
-            raw = self._p_terminal_raw(node, st, prebounded)
-            self._p_advance(node, st, prebounded, raw)
+            size = node.boundary.size
+            self._p_fixed_guard(st, size, node.name)
+            self.w(f"{st.off} += {size}")
             return
         dst = self.vvar(node.name)
         fixed1 = (not prebounded and node.boundary.kind is BoundaryKind.FIXED
@@ -511,15 +451,15 @@ class _SpecEmitter:
         """Emit extraction of a mirrored node's byte region (reversed).
 
         Replays :meth:`Parser._extract_region`: errors propagate *unwrapped*.
-        Returns the window over the reversed region buffer.
+        Returns the window over the reversed region buffer.  Validation gives
+        every mirrored node a parse-time determinable extent: a FIXED, LENGTH
+        or END boundary, or a static size.
         """
         kind = node.boundary.kind
-        name = node.name
-        size_expr: str | None
         if kind is BoundaryKind.FIXED:
-            size_expr = str(node.boundary.size or 0)
+            size_expr = str(node.boundary.size)
         elif kind is BoundaryKind.LENGTH:
-            size_expr = self._p_ref_int(node.boundary.ref or "", name, st,
+            size_expr = self._p_ref_int(node.boundary.ref, node.name, st,
                                         wrapped=False)
             self.w(f"if {size_expr} < 0:")
             template = "cannot read a negative number of bytes (%d)"
@@ -527,13 +467,7 @@ class _SpecEmitter:
         elif kind is BoundaryKind.END:
             size_expr = f"{st.end} - {st.off}"
         else:
-            static = self.static_sizes.get(name)
-            if static is None:
-                self._p_raise(
-                    repr("mirrored node has no parse-time determinable extent"),
-                    "None", name)
-                return st
-            size_expr = str(static)
+            size_expr = str(self.static_sizes[node.name])
         if kind is not BoundaryKind.END:
             self._p_fixed_guard(st, size_expr, None)
         buf = self.var("r")
@@ -580,9 +514,7 @@ class _SpecEmitter:
 
     def _p_node(self, node: Node, st: _Win, *, prebounded: bool = False) -> None:
         if node.mirrored and not prebounded:
-            sub = self._p_region(node, st)
-            if sub is not st:
-                self._p_node(node, sub, prebounded=True)
+            self._p_node(node, self._p_region(node, st), prebounded=True)
             return
         if node.type is NodeType.TERMINAL:
             self._p_terminal(node, st, prebounded=prebounded)
@@ -699,10 +631,8 @@ class _SpecEmitter:
                 continue
             shares.append(child)
             if child.mirrored:
-                sub = self._p_region(child, st)
-                if sub is not st:
-                    self._p_terminal(child, sub, prebounded=True,
-                                     store_origin=False)
+                self._p_terminal(child, self._p_region(child, st), prebounded=True,
+                                 store_origin=False)
             else:
                 self._p_terminal(child, st, store_origin=False)
         if len(shares) != 2:
@@ -728,10 +658,6 @@ class _SpecEmitter:
                 self.w(f"{combined} = ({first} - {second}) % {modulus}")
             else:
                 self.w(f"{combined} = {first} ^ {second}")
-        if node.origin is None:
-            raw = f"synthesis node {node.name!r} has no logical origin"
-            self._p_raise(repr(raw), "None", None)
-            return
         self.emit_set(node.origin, self._ploops, combined)
 
     def _p_emit_cat(self, synthesis, shares: list[Node], first: str,
@@ -755,15 +681,10 @@ class _SpecEmitter:
     def _p_optional(self, node: Node, st: _Win) -> None:
         if node.presence_ref is not None:
             ref = node.presence_ref
-            ref_node = self.node_map.get(ref)
-            v = self.vvar(ref) if ref_node is not None else None
-            if v is None or v not in self._assigned:
-                if v is not None:
-                    self._pdecls.add(v)
+            v = self.vvar(ref)
+            if v not in self._assigned:
+                self._pdecls.add(v)
                 raw = f"presence reference {ref!r} has not been parsed yet"
-                if v is None:
-                    self._p_raise(repr(raw), "None", node.name)
-                    return
                 self.w(f"if {v} is None:")
                 self.ind += 1
                 self._p_raise(repr(raw), "None", node.name)
@@ -932,13 +853,11 @@ class _SpecEmitter:
         chain = node.codec_chain
         size = (node.boundary.size
                 if node.boundary.kind is BoundaryKind.FIXED else None)
-        delim = (node.boundary.delimiter or b""
+        delim = (node.boundary.delimiter
                  if node.boundary.kind is BoundaryKind.DELIMITED else b"")
         if kind is ValueKind.UINT:
+            # Validated uints are fixed-size, with integer ops of their width.
             steps = _int_chain_steps(chain, inverse=False)
-            if steps is None or size is None or size <= 0:
-                self._s_encode_generic(node, x, size, delim)
-                return
             modulus = 1 << (8 * size)
             self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
             # A chain whose final mask fits the field never overflows it.
@@ -952,7 +871,7 @@ class _SpecEmitter:
                 self.w(f"out += {x}.to_bytes({size}, {node.endian.value!r})")
         else:
             label = "bytes" if kind is ValueKind.BYTES else "text"
-            if chain and all(op.bytewise for op in chain):
+            if chain:  # validation leaves bytes/text chains byte-wise only
                 forward, _ = _byte_tables(chain)
                 # ValueOp.apply encodes the value before translating; an
                 # encode failure here is *unwrapped* (no terminal prefix).
@@ -966,14 +885,6 @@ class _SpecEmitter:
                 template = f"cannot encode %s as {label}"
                 self.w(f"    raise SerializationError({template!r} % type({x}).__name__)")
                 self.w(f"{x} = {x}.translate({self.table_const(forward)})")
-                if size is not None:
-                    self.w(f"if len({x}) != {size}:")
-                    template = (f"terminal {node.name!r}: fixed-size field expects "
-                                f"{size} byte(s), value has %d")
-                    self.w(f"    raise SerializationError({template!r} % len({x}))")
-            elif chain:
-                self._s_encode_generic(node, x, size, delim)
-                return
             else:
                 self.w(f"if isinstance({x}, str):")
                 self.w(f"    {x} = {x}.encode('latin-1')")
@@ -982,26 +893,19 @@ class _SpecEmitter:
                 self.w("else:")
                 template = f"terminal {node.name!r}: cannot encode %s as {label}"
                 self.w(f"    raise SerializationError({template!r} % type({x}).__name__)")
-                if size is not None:
-                    self.w(f"if len({x}) != {size}:")
-                    template = (f"terminal {node.name!r}: fixed-size field expects "
-                                f"{size} byte(s), value has %d")
-                    self.w(f"    raise SerializationError({template!r} % len({x}))")
+            if size is not None:
+                self.w(f"if len({x}) != {size}:")
+                template = (f"terminal {node.name!r}: fixed-size field expects "
+                            f"{size} byte(s), value has %d")
+                self.w(f"    raise SerializationError({template!r} % len({x}))")
             if delim:
                 self.w(f"if {delim!r} in {x}:")
                 template = (f"value of delimited terminal {node.name!r} contains "
                             f"its delimiter {delim!r}")
                 self.w(f"    raise SerializationError({template!r})")
             self.w(f"out += {x}")
-        if delim:
-            self.w(f"out += {delim!r}")
-
-    def _s_encode_generic(self, node: Node, x: str, size: int | None,
-                          delim: bytes) -> None:
-        """Exotic chains / sizeless uints: the interpreted tier's encoder."""
-        self.w(f"out += {self.encoder_const(node, size, delim)}({x})")
-        if delim:
-            self.w(f"out += {delim!r}")
+            if delim:
+                self.w(f"out += {delim!r}")
 
     # -- sequences with pack-run fusion ---------------------------------------
 
@@ -1014,13 +918,8 @@ class _SpecEmitter:
             return False
         if child.origin is None or child.value_kind is not ValueKind.UINT:
             return False
-        if child.boundary.kind is not BoundaryKind.FIXED:
-            return False
-        if (child.boundary.size or 0) not in _UINT_FMT:
-            return False
-        if _int_chain_steps(child.codec_chain, inverse=False) is None:
-            return False
-        return True
+        # Validated uints are fixed-size and their chains fold.
+        return child.boundary.size in _UINT_FMT
 
     def _s_sequence(self, node: Node) -> None:
         children = node.children
@@ -1078,10 +977,6 @@ class _SpecEmitter:
     # -- synthesis --------------------------------------------------------------
 
     def _s_synthesis(self, node: Node) -> None:
-        if node.origin is None:
-            template = f"synthesis node {node.name!r} has no logical origin"
-            self.w(f"raise SerializationError({template!r})")
-            return
         x = self.var("x")
         self.emit_get(x, node.origin, self._sloops)
         self._s_missing(node, x, "synthesis node")
@@ -1147,9 +1042,7 @@ class _SpecEmitter:
     def _s_optional(self, node: Node) -> None:
         presence_origin = None
         if node.presence_ref is not None:
-            ref_node = self.node_map.get(node.presence_ref)
-            if ref_node is not None and ref_node.origin is not None:
-                presence_origin = ref_node.origin
+            presence_origin = self.node_map[node.presence_ref].origin
         if presence_origin is not None:
             x = self.var("x")
             self.emit_get(x, presence_origin, self._sloops)
@@ -1200,7 +1093,6 @@ class _SpecEmitter:
     def emit(self) -> str:
         parse_body = self._emit_parse_body()
         serialize_body = self._emit_serialize_body()
-        # Constants before the preamble: slot resolvers may register chains.
         constants = self._emit_constants()
         lines: list[str] = []
         stats = self.graph.stats()
@@ -1214,9 +1106,8 @@ class _SpecEmitter:
         )
         lines.append("")
         lines.append(f"__plan_fingerprint__ = {self.fingerprint!r}")
-        lines.append(f"__emitter_version__ = {self.emitter_version!r}")
+        lines.append(f"__emitter_version__ = {EMITTER_VERSION!r}")
         lines.append("__specialized__ = True")
-        lines.append(f"__codec_key__ = {self.codec_key!r}")
         lines.append(self._emit_preamble())
         lines.append("# === generated code (emitted per specification) ===")
         lines.append(constants)
@@ -1297,10 +1188,6 @@ class _SpecEmitter:
         if self._accessors:
             chunks.append("from repro.core.fieldpath import INDEX as _INDEX")
             chunks.append("from repro.core.fieldpath import accessor as _accessor")
-        if self._chains or self._encoders:
-            chunks.append("from repro.core import values as _values")
-        if self._encoders:
-            chunks.append("from repro.wire.plan import _compile_encode")
         if "eof" in needs or "runfail" in needs:
             chunks.append("""
 
@@ -1359,12 +1246,7 @@ def _mirror(out, mark, pend):
         resolvers = []
         for (width, endian, chain), _ in sorted(
                 self._resolvers.items(), key=lambda item: item[1]):
-            steps = _int_chain_steps(chain, inverse=False)
-            if steps is None:
-                expr = (f"_values.apply_chain(L, _values.ValueKind.UINT, "
-                        f"{self.chain_const(chain)})")
-            else:
-                expr = _fold_int_steps("L", steps)
+            expr = _fold_int_steps("L", _int_chain_steps(chain, inverse=False))
             modulus = 1 << (8 * width)
             resolvers.append(f"    lambda L: (({expr}) % {modulus})"
                              f".to_bytes({width}, {endian!r}),")
@@ -1378,16 +1260,6 @@ def _mirror(out, mark, pend):
             tokens = ["_INDEX" if step is INDEX else repr(step) for step in path]
             steps = f"({tokens[0]},)" if len(tokens) == 1 else f"({', '.join(tokens)})"
             lines.append(f"{name} = _accessor({steps})")
-        # Exotic chains and sizeless uints run the interpreted tier's own
-        # value codecs (no registry dialect reaches these).
-        for chain, name in self._chains.items():
-            ops = "".join(
-                f"_values.ValueOp(_values.ValueOpKind.{op.kind.name}, "
-                f"{op.constant}, {op.bytewise}, {op.width!r}), "
-                for op in chain
-            )
-            lines.append(f"{name} = ({ops.rstrip()})")
-        lines.extend(self._encoders)
         if resolvers:
             lines.append("")
             lines.append("# Length-slot resolvers: chain applied, value reduced")
@@ -1400,24 +1272,15 @@ def _mirror(out, mark, pend):
 
 
 def generate_specialized_module(graph: FormatGraph, *,
-                                plan_fingerprint: str | None = None,
-                                codec_key: str | None = None,
-                                emitter_version: str | None = None) -> str:
+                                plan_fingerprint: str | None = None) -> str:
     """Emit the specialized (straight-line, struct-fused) codec for ``graph``.
 
     The module exposes the same ``serialize(message, rng=None)`` /
     ``parse(data, strict=True)`` API as the readable generated library, is
     stamped with ``__specialized__ = True`` plus the emitter version, and
     raises the interpreted runtime's typed errors with the same text, offset
-    and node identity.
+    and node identity.  ``graph`` is validated first: an invalid graph raises
+    the validator's :class:`~repro.core.errors.GraphError`.
     """
-    from .emitter import EMITTER_VERSION
-
-    return _SpecEmitter(
-        graph,
-        plan_fingerprint=plan_fingerprint,
-        codec_key=codec_key,
-        emitter_version=(
-            emitter_version if emitter_version is not None else EMITTER_VERSION
-        ),
-    ).emit()
+    validate_graph(graph)
+    return _SpecEmitter(graph, plan_fingerprint=plan_fingerprint).emit()

@@ -149,6 +149,8 @@ def _check_boundary_compatibility(node: Node) -> None:
 def _check_terminal_details(node: Node, ref_targets: set[str]) -> None:
     if node.value_kind is _UINT and node.boundary.kind is not _FIXED:
         raise GraphError(f"uint terminal {node.name!r} requires a fixed boundary")
+    if node.value_kind is _UINT and not node.boundary.size:
+        raise GraphError(f"uint terminal {node.name!r} requires a positive size")
     if node.is_pad:
         if node.boundary.kind is not _FIXED:
             raise GraphError(f"pad terminal {node.name!r} requires a fixed boundary")
@@ -163,6 +165,10 @@ def _check_terminal_details(node: Node, ref_targets: set[str]) -> None:
             raise GraphError(
                 f"terminal {node.name!r} is a derived length/counter field and cannot carry "
                 f"a logical origin"
+            )
+        if node.is_pad:
+            raise GraphError(
+                f"terminal {node.name!r} is a length/counter field and cannot be padding"
             )
 
 
@@ -222,6 +228,8 @@ def _check_obfuscation_metadata(node: Node) -> None:
                 f"mirrored node {node.name!r} has no parse-time determinable extent"
             )
     for op in node.codec_chain:
+        if op.bytewise and node.value_kind is _UINT:
+            raise GraphError(f"bytewise value operation on uint terminal {node.name!r}")
         if node.type is not _TERMINAL:
             raise GraphError(f"only terminals may carry a codec chain ({node.name!r})")
         if op.bytewise and node.boundary.kind is _DELIMITED:

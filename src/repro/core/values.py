@@ -130,15 +130,6 @@ def default_value(kind: ValueKind) -> Value:
     return ""
 
 
-def value_byte_length(value: Value, kind: ValueKind, *, size: int | None = None) -> int:
-    """Length in bytes of the encoded value (without applying value ops)."""
-    if kind is _UINT:
-        if size is None:
-            raise SerializationError("UINT terminals require a fixed size")
-        return size
-    return len(encode_value(value, kind))
-
-
 # ---------------------------------------------------------------------------
 # invertible value operations (codec chain of aggregation transformations)
 # ---------------------------------------------------------------------------

@@ -219,10 +219,6 @@ class RecordDecoder:
         self.max_record_size = max_record_size
         self._max_stream = getattr(budget, "max_stream_bytes", None)
         self._max_steps = getattr(budget, "max_steps_per_feed", None)
-        #: records skipped under resync (mirrors the CorruptRecord events).
-        self.corrupt_count = 0
-        #: payload bytes discarded by resync skips.
-        self.skipped_bytes = 0
         #: rotation control records followed (plan switches in this stream).
         self.rotations = 0
         #: key id of the plan currently in force (None until the first rotation).
@@ -253,16 +249,6 @@ class RecordDecoder:
     @property
     def decoded_count(self) -> int:
         return self._decoded
-
-    def counters(self) -> dict:
-        """Decode accounting of this stream (diagnosis / bench reporting)."""
-        return {
-            "records": self._decoded,
-            "rotations": self.rotations,
-            "corrupt_skipped": self.corrupt_count,
-            "skipped_bytes": self.skipped_bytes,
-            "buffered": len(self._buffer),
-        }
 
     def feed(self, data: bytes) -> "list[DecodedMessage | RotationEvent | CorruptRecord | BusyEvent]":
         self._check_failed()
@@ -395,8 +381,6 @@ class RecordDecoder:
                     # record and resynchronize at the next record boundary.
                     start = self._payload_offset
                     self._payload_offset += size
-                    self.corrupt_count += 1
-                    self.skipped_bytes += size
                     completed.append(CorruptRecord(
                         raw=payload, start=start, end=self._payload_offset,
                         error=wrapped,

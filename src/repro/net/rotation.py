@@ -19,7 +19,6 @@ import hashlib
 from dataclasses import dataclass
 
 from ..core.errors import StreamError
-from ..core.fingerprint import graph_fingerprint
 from ..core.graph import FormatGraph
 from ..protocols import registry
 from ..transforms.engine import Obfuscator
@@ -46,26 +45,6 @@ class SessionKey:
                     response_fingerprint: str | None) -> str:
         seed = f"{request_fingerprint}:{response_fingerprint}"
         return hashlib.sha256(seed.encode("utf-8")).hexdigest()[:16]
-
-    @classmethod
-    def from_graphs(cls, request_graph: FormatGraph,
-                    response_graph: FormatGraph | None = None, *,
-                    key_id: str | None = None) -> "SessionKey":
-        """Wrap already-transformed graphs (stamped or not) into a key."""
-        response = response_graph if response_graph is not None else request_graph
-        request_fpr = getattr(request_graph, "plan_fingerprint", None)
-        response_fpr = getattr(response, "plan_fingerprint", None)
-        if request_fpr is None:
-            request_fpr = graph_fingerprint(request_graph)
-        if response_fpr is None:
-            response_fpr = graph_fingerprint(response)
-        return cls(
-            key_id=key_id if key_id is not None else cls._default_id(request_fpr, response_fpr),
-            request_graph=request_graph,
-            response_graph=response,
-            request_fingerprint=request_fpr,
-            response_fingerprint=response_fpr,
-        )
 
     @classmethod
     def from_plans(cls, protocol: "str | registry.ProtocolSetup",

@@ -39,6 +39,8 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
+from ..codegen.cache import cached_module
+from ..codegen.loader import SpecializedCodec
 from ..core.errors import BudgetExceeded, StreamError
 from ..core.graph import FormatGraph
 from ..core.message import Message
@@ -336,39 +338,6 @@ class _MessagePump:
             self._ingest(self._decoder.feed(chunk))
 
 
-class _SpecializedSerializer:
-    """Serializer facade over a specialized compiled module.
-
-    Drop-in for the interpreted :class:`~repro.wire.Serializer` on the
-    session hot path: same ``serialize`` surface, byte-identical output
-    (pad/split draws consume the shared RNG in the same order).  Span
-    recording still needs the interpreted piece machinery, so
-    ``serialize_with_spans`` delegates to an embedded interpreted serializer
-    over the *same* RNG — the byte stream stays identical either way.
-    """
-
-    __slots__ = ("graph", "_module", "_rng", "_plan", "_interpreted")
-
-    def __init__(self, graph: FormatGraph, *, rng: Random, plan=None):
-        from ..codegen.cache import cached_module
-
-        self.graph = graph
-        self._module = cached_module(graph, specialize=True)
-        self._rng = rng
-        self._plan = plan
-        self._interpreted: Serializer | None = None
-
-    def serialize(self, message: Message) -> bytes:
-        logical = message.raw if isinstance(message, Message) else message
-        return self._module.serialize(logical, rng=self._rng)
-
-    def serialize_with_spans(self, message: Message):
-        if self._interpreted is None:
-            plan = self._plan if self._plan is not None else plan_for(self.graph)
-            self._interpreted = Serializer(self.graph, rng=self._rng, plan=plan)
-        return self._interpreted.serialize_with_spans(message)
-
-
 class _Endpoint:
     """Graphs, framings, codecs and capture policy shared by one endpoint."""
 
@@ -443,21 +412,12 @@ class _Endpoint:
         if self.capture is not None and self.capture.protocol is None:
             self.capture.protocol = self.setup.key
 
-    def serializer(self, direction: str):
-        """A fresh serializer of one direction, seeded deterministically."""
-        if direction == "request":
-            graph, plan = self.request_graph, self.request_plan
-        else:
-            graph, plan = self.response_graph, self.response_plan
+    def serializer(self, graph: FormatGraph):
+        """A fresh serializer of ``graph`` (either direction, or a rotated-to
+        key's graph), seeded deterministically."""
         if self.specialize:
-            return _SpecializedSerializer(graph, rng=Random(self.seed), plan=plan)
-        return Serializer(graph, rng=Random(self.seed), plan=plan)
-
-    def key_serializer(self, graph: FormatGraph):
-        """A fresh serializer over a rotated-to graph, seeded like the others."""
-        if self.specialize:
-            return _SpecializedSerializer(graph, rng=Random(self.seed))
-        return Serializer(graph, rng=Random(self.seed), plan=plan_for(graph))
+            return self._specialized_codec(graph)
+        return Serializer(graph, rng=Random(self.seed))
 
     def parser_factory(self, framing: str):
         """The decoder's parser factory for one direction's resolved framing.
@@ -468,14 +428,13 @@ class _Endpoint:
         """
         if not self.specialize or framing != "record":
             return None
+        return self._specialized_codec
 
-        from ..codegen.cache import cached_module
-        from ..codegen.loader import SpecializedCodec
-
-        def factory(graph: FormatGraph) -> SpecializedCodec:
-            return SpecializedCodec(graph, module=cached_module(graph, specialize=True))
-
-        return factory
+    def _specialized_codec(self, graph: FormatGraph) -> SpecializedCodec:
+        """The graph's shared compiled module behind one codec: it serializes
+        (spans through the interpreted tier, same RNG) and parses."""
+        return SpecializedCodec(graph, seed=self.seed,
+                                module=cached_module(graph, specialize=True))
 
     def encode(self, serializer: Serializer, message: Message):
         """Serialize one message, returning ``(payload, spans-or-None)``."""
@@ -596,7 +555,8 @@ class ObfuscatedServer:
         if governor is not None and governor.trace is None:
             governor.trace = self.trace
         self._responder_rng = Random(seed + 0x5EED)
-        self._response_serializer = self._endpoint.serializer("response")
+        self._response_serializer = self._endpoint.serializer(
+            self._endpoint.response_graph)
         self._session_ids = itertools.count(1)
         self.completed: list[SessionStats] = []
         self._tcp_server: asyncio.AbstractServer | None = None
@@ -672,7 +632,7 @@ class ObfuscatedServer:
             pump = _MessagePump(reader, decoder, budget=self.budget,
                                 stats=stats, load=load)
             response_serializer = (self._response_serializer if book is None
-                                   else endpoint.serializer("response"))
+                                   else endpoint.serializer(endpoint.response_graph))
             request_fingerprint = endpoint.request_fingerprint
             response_fingerprint = endpoint.response_fingerprint
             idle = self.timeouts.idle_read
@@ -696,7 +656,7 @@ class ObfuscatedServer:
                     break
                 if isinstance(decoded, RotationEvent):
                     key = book.get(decoded.key_id)
-                    response_serializer = endpoint.key_serializer(key.response_graph)
+                    response_serializer = endpoint.serializer(key.response_graph)
                     request_fingerprint = key.request_fingerprint
                     response_fingerprint = key.response_fingerprint
                     stats.rotations += 1
@@ -891,7 +851,8 @@ class ObfuscatedClient:
         self._clock = clock if clock is not None else RealClock()
         #: ordered, seed-replayable record of every recovery decision.
         self.trace = ResilienceTrace()
-        self._request_serializer = self._endpoint.serializer("request")
+        self._request_serializer = self._endpoint.serializer(
+            self._endpoint.request_graph)
         self._request_fingerprint = self._endpoint.request_fingerprint
         self._response_fingerprint = self._endpoint.response_fingerprint
         self._reader: asyncio.StreamReader | None = None
@@ -1197,7 +1158,7 @@ class ObfuscatedClient:
         self._writer.write(encode_rotation(key.key_id))
         await self._writer.drain()
         decoder.rotate_to(key.response_graph, key_id=key.key_id)
-        self._request_serializer = endpoint.key_serializer(key.request_graph)
+        self._request_serializer = endpoint.serializer(key.request_graph)
         self._request_fingerprint = key.request_fingerprint
         self._response_fingerprint = key.response_fingerprint
         self._announced_key = key.key_id

@@ -221,9 +221,9 @@ def _compile_encode(name: str, kind: ValueKind, endian: Endian, size: int | None
                     ) -> Callable[[object], bytes]:
     """Encoder of one terminal: codec chain, value encoding and checks fused.
 
-    Takes primitives rather than a node so that specialized modules build
-    their rare generic encoders (exotic chains, sizeless uints) from the very
-    function the interpreted tier runs.
+    Takes the terminal's primitives (``size`` is ``None`` unless the boundary
+    is FIXED, ``delimiter`` empty unless it is DELIMITED) rather than a node;
+    :func:`compile_plan` is its only caller.
     """
     compiled = _compile_chain(kind, chain)
     apply_ops = compiled[0] if compiled is not None else None
@@ -605,11 +605,6 @@ def invalidate(graph: FormatGraph) -> bool:
         graph.plan_fingerprint = None
         dropped = True
     return dropped
-
-
-def cached_plan_count() -> int:
-    """Number of live cached plans (diagnostics and tests)."""
-    return len(_PLAN_CACHE) + len(_FINGERPRINT_PLANS)
 
 
 def cache_stats() -> dict[str, int]:

@@ -646,10 +646,6 @@ class StreamingDecoder:
         """Number of messages completed so far."""
         return self._decoded
 
-    @property
-    def at_eof(self) -> bool:
-        return self._source.eof
-
     # -- feeding --------------------------------------------------------------
 
     def feed(self, data: bytes) -> list[DecodedMessage]:

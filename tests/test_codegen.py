@@ -100,7 +100,10 @@ class TestGeneratedCodecBehaviour:
         interpreted = WireCodec(graph, seed=3)
         for _ in range(5):
             message = generator(rng)
+            logical = message.to_dict()
             generated_bytes = generated.serialize(message)
+            # The module reads the message's own dict and never writes to it.
+            assert message.raw == logical
             assert interpreted.parse(generated_bytes) == message
             interpreted_bytes = interpreted.serialize(message)
             assert generated.parse(interpreted_bytes) == message

@@ -202,6 +202,11 @@ class TestValidation:
         with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [bad])))
 
+    def test_uint_requires_positive_size(self):
+        message = "uint terminal 'u' requires a positive size"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(sequence("root", [uint("u", 0)])))
+
     def test_tabular_requires_counter_boundary(self):
         bad = Node("t", NodeType.TABULAR, Boundary.end(), children=[uint("a", 1)])
         message = "tabular 't' must use a counter boundary"
@@ -246,6 +251,35 @@ class TestValidation:
         message = "terminal 'len' is a length/counter field and must be a fixed-size uint"
         with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [length, data])))
+
+    @staticmethod
+    def _pad(name: str, kind: ValueKind) -> Node:
+        return Node(name, NodeType.TERMINAL, Boundary.fixed(2), value_kind=kind,
+                    is_pad=True)
+
+    def test_length_field_cannot_be_padding(self):
+        data = fixed_bytes("data", 4)
+        data.boundary = Boundary.length("pad0")
+        root = sequence("root", [self._pad("pad0", ValueKind.UINT), data])
+        message = "terminal 'pad0' is a length/counter field and cannot be padding"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(root))
+
+    def test_counter_field_cannot_be_padding(self):
+        table = tabular("t", uint("x", 1), counter="pad0")
+        root = sequence("root", [self._pad("pad0", ValueKind.UINT), table])
+        message = "terminal 'pad0' is a length/counter field and cannot be padding"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(root))
+
+    def test_non_uint_pad_length_field_reports_the_uint_rule(self):
+        # The padding rule runs after the two length/counter-field rules.
+        data = fixed_bytes("data", 4)
+        data.boundary = Boundary.length("pad0")
+        root = sequence("root", [self._pad("pad0", ValueKind.BYTES), data])
+        message = "terminal 'pad0' is a length/counter field and must be a fixed-size uint"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(root))
 
     def test_length_field_cannot_be_shared(self):
         length = uint("len", 2)
@@ -294,6 +328,13 @@ class TestValidation:
             "bytewise value operation on delimited terminal 't' could "
             "collide with the delimiter"
         )
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(sequence("root", [node])))
+
+    def test_bytewise_chain_on_uint_rejected(self):
+        node = uint("t", 2)
+        node.codec_chain = (ValueOp(ValueOpKind.XOR, 3, bytewise=True),)
+        message = "bytewise value operation on uint terminal 't'"
         with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(FormatGraph(sequence("root", [node])))
 

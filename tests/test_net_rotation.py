@@ -108,15 +108,16 @@ def test_local_rotate_refuses_with_buffered_bytes():
 
 
 @pytest.mark.parametrize("protocol", ["modbus", "http", "dns", "mqtt"])
-def test_sessions_survive_three_rotations_in_process(protocol):
+def test_sessions_survive_three_rotations_in_process(protocol, specialize=False):
     async def scenario():
         keys = [derive_session_key(protocol, passes=1, seed=seed)
                 for seed in (10, 20, 30, 40)]
         capture = Capture()
         server = ObfuscatedServer(protocol, plan_book=PlanBook(keys),
-                                  capture=capture, capture_received=True)
+                                  capture=capture, capture_received=True,
+                                  specialize=specialize)
         client = ObfuscatedClient(protocol, plan_book=PlanBook(keys),
-                                  capture=capture)
+                                  capture=capture, specialize=specialize)
         connect_memory(client, server)
         rng = Random(1)
         for key in keys[1:] + [None]:
@@ -169,6 +170,11 @@ def test_sessions_survive_three_rotations_in_process(protocol):
         capture.to_jsonl(path)
         reloaded = Capture.from_jsonl(path)
         assert reloaded.plan_fingerprints() == capture.plan_fingerprints()
+
+
+@pytest.mark.parametrize("protocol", ["modbus", "http", "dns", "mqtt"])
+def test_specialized_sessions_survive_three_rotations_in_process(protocol):
+    test_sessions_survive_three_rotations_in_process(protocol, specialize=True)
 
 
 def test_sessions_survive_three_rotations_over_tcp():

@@ -9,6 +9,8 @@ loader refuses stale-emitter-version modules.
 
 from __future__ import annotations
 
+import re
+import types
 from copy import deepcopy
 from random import Random
 
@@ -16,6 +18,7 @@ import pytest
 
 from repro.codegen import (
     EMITTER_VERSION,
+    GeneratedCodec,
     SpecializedCodec,
     cached_module,
     clear_module_cache,
@@ -26,9 +29,10 @@ from repro.codegen import (
     module_cache_stats,
 )
 from repro.core.boundary import Boundary
-from repro.core.builder import build_graph, bytes_field, delimited_text, sequence, uint
-from repro.core.errors import CodegenError, ParseError
-from repro.core.values import ValueOp, ValueOpKind
+from repro.core.builder import build_graph, bytes_field, sequence, uint
+from repro.core.errors import CodegenError, GraphError, ParseError, SerializationError
+from repro.core.node import Node, NodeType
+from repro.core.values import ValueKind, ValueOp, ValueOpKind
 from repro.protocols import registry
 from repro.transforms import Obfuscator
 from repro.wire import WireCodec
@@ -83,23 +87,27 @@ def mutated(message: dict, path: tuple, replacement) -> dict:
     return copy
 
 
-def fallback_graphs():
-    """Validator-accepted graphs carrying a 2-byte uint whose chain folds
-    neither into integer steps nor into byte tables.  No transformation draws
-    such a chain, so only these graphs reach the specialized tier's generic
-    fallbacks: the terminal's encoder and decoder, and a length slot's
-    resolver.  Each graph is named after its value-carrying leaf."""
-    bytewise = ValueOp(ValueOpKind.XOR, 0x5A, bytewise=True)
-    for chain in ((bytewise,), (ValueOp(ValueOpKind.ADD, 0x1234, width=2), bytewise)):
-        field = uint("field", 2)
-        field.codec_chain = chain
-        yield build_graph(
-            sequence("msg", [field, delimited_text("tail", b"\r\n")]), "field")
-        length = uint("length", 2)
-        length.codec_chain = chain
-        yield build_graph(
-            sequence("msg", [length, bytes_field("body", Boundary.length("length"))]),
-            "body")
+def unworkable_graph(shape: str):
+    """``(graph, message, validator error)`` of a shape no tier can run.
+
+    The graph is built without validation: a bytewise op on a uint, a
+    zero-size uint, or a pad measured as a LENGTH field.
+    """
+    if shape == "pad_length":
+        pad = Node("pad0", NodeType.TERMINAL, Boundary.fixed(2),
+                   value_kind=ValueKind.UINT, is_pad=True)
+        root = sequence("msg", [pad, bytes_field("body", Boundary.length("pad0"))])
+        return (build_graph(root, shape, validate=False), {"body": b"ab"},
+                "terminal 'pad0' is a length/counter field and cannot be padding")
+    field = uint("field", 0 if shape == "sizeless_uint" else 2)
+    error = "uint terminal 'field' requires a positive size"
+    if shape == "bytewise_uint":
+        field.codec_chain = (ValueOp(ValueOpKind.XOR, 0x5A, bytewise=True),)
+        error = "bytewise value operation on uint terminal 'field'"
+    return build_graph(sequence("msg", [field]), shape, validate=False), {"field": 0}, error
+
+
+UNWORKABLE = ("bytewise_uint", "sizeless_uint", "pad_length")
 
 
 class TestEmittedSource:
@@ -151,7 +159,10 @@ class TestEquivalence:
         parser = Parser(graph)
         for _ in range(8):
             message = generator(rng)
+            logical = message.to_dict()
             specialized_bytes = specialized.serialize(message)
+            # The module reads the message's own dict and never writes to it.
+            assert message.raw == logical
             interpreted_bytes = interpreted.serialize(message)
             assert specialized_bytes == interpreted_bytes
             assert specialized.parse(specialized_bytes) == parser.parse(
@@ -230,7 +241,8 @@ class TestErrorParity:
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_serialize_errors_match_interpreted(self, protocol_case, level):
         """Each leaf and list replaced by a bad value, or deleted: both tiers
-        give the same bytes, or the same exception class and text."""
+        give the same bytes, or the same exception class and text, and leave
+        the mutant unchanged."""
         _, graph_factory, generator = protocol_case
         graph = dialect(graph_factory, level)
         module = SpecializedCodec(graph).module
@@ -239,32 +251,14 @@ class TestErrorParity:
             for path in leaf_and_list_paths(message):
                 for replacement in (*MUTANTS, _DELETE):
                     case = mutated(message, path, replacement)
+                    before = deepcopy(case)
                     interpreted = outcome(Serializer(graph, rng=Random(0)).serialize,
                                           case)
                     specialized = outcome(
                         SpecializedCodec(graph, seed=0, module=module).serialize, case)
                     assert specialized == interpreted, (path, replacement)
-
-    def test_generic_fallbacks_match_interpreted(self):
-        """Exotic uint chains run the runtime's value codecs in both tiers."""
-        values = (0, 0x1234, 0x10000, -1, None, "x\r\n", b"ab", 3.5)
-        wires = (b"", b"\x00", b"\x12\x34", b"\x00\x02ab", b"\x12\x34t\r\n")
-        for graph in fallback_graphs():
-            specialized = SpecializedCodec(graph, seed=0)
-            # The emitted module really takes the fallback paths: the chained
-            # terminal's encoder or the length slot's resolver, and its decoder.
-            serialize_fallback = ("_compile_encode(" if graph.name == "field"
-                                  else "_values.apply_chain(")
-            assert serialize_fallback in specialized.source
-            assert "_values.invert_chain(" in specialized.source
-            for value in values:
-                message = {graph.name: value, "tail": "t"}
-                assert outcome(specialized.serialize, message) == outcome(
-                    Serializer(graph, rng=Random(0)).serialize, message), value
-            parser = Parser(graph)
-            for wire in wires:
-                assert outcome(specialized.parse, wire) == outcome(
-                    parser.parse, wire), wire
+                    # Neither tier writes into the message it serializes.
+                    assert case == before, (path, replacement)
 
     def test_trailing_bytes_strict_and_lenient(self, modbus_request_graph, rng):
         codec = SpecializedCodec(modbus_request_graph, seed=0)
@@ -273,6 +267,63 @@ class TestErrorParity:
         with pytest.raises(ParseError, match="trailing byte"):
             codec.parse(wire + b"xx")
         assert codec.parse(wire + b"xx", strict=False) == message
+
+
+class TestValidatedGraphsOnly:
+    """The emitter compiles valid graphs only.  Three shapes the validator
+    now rejects cannot run on the interpreted tier either."""
+
+    @pytest.mark.parametrize("shape", UNWORKABLE)
+    def test_no_tier_runs_the_shape(self, shape):
+        graph, message, _ = unworkable_graph(shape)
+        serializer = Serializer(graph, rng=Random(0))
+        if shape == "pad_length":
+            # Random pad bytes stand where the length belongs: never parses.
+            with pytest.raises(ParseError, match="reference 'pad0' has not been parsed yet"):
+                Parser(graph).parse(serializer.serialize(message))
+            return
+        error = ("UINT terminals require a fixed size" if shape == "bytewise_uint"
+                 else "terminal 'field': uint size must be positive, got 0")
+        with pytest.raises(SerializationError, match=f"^{re.escape(error)}$"):
+            serializer.serialize(message)
+
+    @pytest.mark.parametrize("shape", UNWORKABLE)
+    def test_emitter_raises_the_validator_error(self, shape):
+        graph, _, error = unworkable_graph(shape)
+        with pytest.raises(GraphError, match=f"^{re.escape(error)}$"):
+            generate_specialized_module(graph)
+
+    def test_length_of_a_pad_is_refused_before_serializing(self):
+        # Refused when the module is emitted: a pad fills no length slot, so
+        # an emitted serializer could only fail (with a NameError).
+        graph, message, error = unworkable_graph("pad_length")
+        with pytest.raises(GraphError, match=f"^{re.escape(error)}$"):
+            SpecializedCodec(graph, seed=0).serialize(message)
+
+
+class TestCodecWrapper:
+    def test_serialize_hands_the_module_the_message_dict(self, modbus_request_graph, rng):
+        received = []
+        spy = types.SimpleNamespace(
+            serialize=lambda logical, rng: received.append(logical) or b"")
+        codec = GeneratedCodec(modbus_request_graph, module=spy)
+        message = registry.get("modbus").message_generator(rng)
+        codec.serialize(message)
+        assert len(received) == 1 and received[0] is message.raw
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_serialize_with_spans_matches_interpreted(self, protocol_case, level, rng):
+        """Spans come from the interpreted tier over the codec's own RNG, so
+        interleaving them with plain serializes keeps one byte stream."""
+        _, graph_factory, generator = protocol_case
+        graph = dialect(graph_factory, level)
+        codec = SpecializedCodec(graph, seed=3)
+        serializer = Serializer(graph, rng=Random(3))
+        for _ in range(3):
+            message = generator(rng)
+            assert codec.serialize_with_spans(message) == (
+                serializer.serialize_with_spans(message))
+            assert codec.serialize(message) == serializer.serialize(message)
 
 
 class TestModuleCache:
