@@ -14,6 +14,7 @@ from .cache import (
     clear_module_cache,
     module_cache_stats,
     module_fingerprint,
+    module_poll,
 )
 from .emitter import EMITTER_VERSION, generate_module, generate_module_from_plan
 from .loader import (
@@ -41,6 +42,7 @@ __all__ = [
     "load_source",
     "module_cache_stats",
     "module_fingerprint",
+    "module_poll",
     "parser_function",
     "sanitize",
     "serializer_function",

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from random import Random
 
-from ..codegen.cache import cached_module
+from ..codegen.cache import module_poll
 from ..codegen.loader import SpecializedCodec
 from ..core.errors import BudgetExceeded, StreamError
 from ..core.graph import FormatGraph
@@ -432,9 +432,11 @@ class _Endpoint:
 
     def _specialized_codec(self, graph: FormatGraph) -> SpecializedCodec:
         """The graph's shared compiled module behind one codec: it serializes
-        (spans through the interpreted tier, same RNG) and parses."""
-        return SpecializedCodec(graph, seed=self.seed,
-                                module=cached_module(graph, specialize=True))
+        (spans through the interpreted tier, same RNG) and parses.  A missed
+        module compiles in the background worker, and the codec serves on
+        the interpreted tier until it lands, so a cold dialect never stalls
+        the event loop."""
+        return SpecializedCodec.tiering(graph, module_poll(graph), seed=self.seed)
 
     def encode(self, serializer: Serializer, message: Message):
         """Serialize one message, returning ``(payload, spans-or-None)``."""

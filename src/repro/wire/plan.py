@@ -63,19 +63,39 @@ from .pieces import LengthSlot
 # ---------------------------------------------------------------------------
 
 
+_IDENTITY_TABLE = bytes(range(256))
+_IDENTITY_INT = int.from_bytes(_IDENTITY_TABLE, "big")
+
+
+def _byte_op_table(op: ValueOp, inverse: bool) -> bytes:
+    """The 256-entry translation table of one byte-wise op.
+
+    Equal to ``[op._byte_op(b, inverse) for b in range(256)]``: an addition
+    rotates the identity table, a xor is one big-integer xor of it.
+    """
+    constant = op.constant & 0xFF
+    if op.kind is ValueOpKind.XOR:
+        return (_IDENTITY_INT ^ int.from_bytes(bytes((constant,)) * 256, "big")
+                ).to_bytes(256, "big")
+    if (op.kind is ValueOpKind.ADD) == inverse:  # subtraction
+        constant = -constant & 0xFF
+    return _IDENTITY_TABLE[constant:] + _IDENTITY_TABLE[:constant]
+
+
 def _byte_tables(chain: tuple[ValueOp, ...]) -> tuple[bytes, bytes]:
     """Fused 256-entry translation tables of a purely byte-wise chain.
 
     Byte-wise operations map each byte independently, so an arbitrarily long
-    chain collapses into a single ``bytes.translate`` table per direction.
+    chain collapses into a single ``bytes.translate`` table per direction,
+    composed one op table at a time.
     """
-    forward = list(range(256))
+    forward = _IDENTITY_TABLE
     for op in chain:
-        forward = [op._byte_op(byte, False) for byte in forward]
-    inverse = list(range(256))
+        forward = forward.translate(_byte_op_table(op, False))
+    inverse = _IDENTITY_TABLE
     for op in reversed(chain):
-        inverse = [op._byte_op(byte, True) for byte in inverse]
-    return bytes(forward), bytes(inverse)
+        inverse = inverse.translate(_byte_op_table(op, True))
+    return forward, inverse
 
 
 def _int_chain_steps(chain: tuple[ValueOp, ...], *, inverse: bool

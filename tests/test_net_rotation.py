@@ -9,10 +9,17 @@ feeds ``run_resilience`` end-to-end.
 from __future__ import annotations
 
 import asyncio
+import time
 from random import Random
 
 import pytest
 
+from repro.codegen import (
+    cached_module,
+    clear_module_cache,
+    module_cache_stats,
+    module_poll,
+)
 from repro.core.errors import StreamError
 from repro.experiments import run_resilience
 from repro.net import (
@@ -175,6 +182,64 @@ def test_sessions_survive_three_rotations_in_process(protocol, specialize=False)
 @pytest.mark.parametrize("protocol", ["modbus", "http", "dns", "mqtt"])
 def test_specialized_sessions_survive_three_rotations_in_process(protocol):
     test_sessions_survive_three_rotations_in_process(protocol, specialize=True)
+
+
+def test_cold_and_warm_specialized_rotation_sessions_agree():
+    """A session whose rotated-to modules compile in the background while it
+    runs (module cache cleared) puts the same records on the wire as one
+    whose modules were all compiled first, and ends on the modules."""
+    keys = [derive_session_key("http", passes=2, seed=seed)
+            for seed in (91, 92, 93)]
+    last = keys[-1]
+
+    async def landed(graph):
+        poll = module_poll(graph)
+        deadline = time.monotonic() + 60
+        while poll() is None:
+            assert time.monotonic() < deadline, "the background compile never landed"
+            await asyncio.sleep(0.005)
+
+    async def scenario(warm: bool):
+        clear_module_cache()
+        if warm:
+            for key in keys:
+                cached_module(key.request_graph, specialize=True)
+                cached_module(key.response_graph, specialize=True)
+        # Without spans, which always come from the interpreted tier, both
+        # sides serialize through the codecs' own tier.
+        capture = Capture()
+        server = ObfuscatedServer("http", plan_book=PlanBook(keys), seed=3,
+                                  capture=capture, capture_received=True,
+                                  record_spans=False, specialize=True)
+        client = ObfuscatedClient("http", plan_book=PlanBook(keys), seed=4,
+                                  capture=capture, record_spans=False,
+                                  specialize=True)
+        connect_memory(client, server)
+        rng = Random(5)
+        for key in keys[1:] + [None]:
+            for _ in range(4):
+                assert await client.request(request_for("http", rng)) is not None
+            if key is not None:
+                await client.rotate(key.key_id)
+        await landed(last.request_graph)
+        await landed(last.response_graph)
+        assert await client.request(request_for("http", rng)) is not None
+        # The client's codecs of the last key serve on the compiled modules.
+        tiers = (client._request_serializer.module is not None,
+                 client._pump._decoder._parser.module is not None)
+        await client.close()
+        assert server.completed[0].error is None
+        return [(record.direction, record.data, record.plan_fingerprint)
+                for record in capture.records], tiers
+
+    cold, cold_tiers = run(scenario(warm=False))
+    # Each key's two graphs missed once: their first messages ran interpreted.
+    assert module_cache_stats()["misses"] == 2 * len(keys)
+    warm, warm_tiers = run(scenario(warm=True))
+    clear_module_cache()
+    assert len(cold) == 3 * 13  # request, its sniffer copy, response
+    assert cold == warm
+    assert cold_tiers == warm_tiers == (True, True)
 
 
 def test_sessions_survive_three_rotations_over_tcp():

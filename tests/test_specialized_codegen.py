@@ -9,9 +9,20 @@ loader refuses stale-emitter-version modules.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
+import hashlib
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import time
 import types
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from copy import deepcopy
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -20,6 +31,7 @@ from repro.codegen import (
     EMITTER_VERSION,
     GeneratedCodec,
     SpecializedCodec,
+    cache,
     cached_module,
     clear_module_cache,
     generate_module,
@@ -27,12 +39,14 @@ from repro.codegen import (
     generate_specialized_module,
     load_source,
     module_cache_stats,
+    module_poll,
 )
 from repro.core.boundary import Boundary
 from repro.core.builder import build_graph, bytes_field, sequence, uint
 from repro.core.errors import CodegenError, GraphError, ParseError, SerializationError
 from repro.core.node import Node, NodeType
 from repro.core.values import ValueKind, ValueOp, ValueOpKind
+from repro.net import Capture, ObfuscatedClient, ObfuscatedServer
 from repro.protocols import registry
 from repro.transforms import Obfuscator
 from repro.wire import WireCodec
@@ -110,6 +124,39 @@ def unworkable_graph(shape: str):
 UNWORKABLE = ("bytewise_uint", "sizeless_uint", "pad_length")
 
 
+def wait_for_module(graph, timeout: float = 60.0) -> types.ModuleType:
+    """Poll the background compile of ``graph``'s module until it lands."""
+    poll = module_poll(graph)
+    deadline = time.monotonic() + timeout
+    while (module := poll()) is None:
+        assert time.monotonic() < deadline, "the background compile never landed"
+        time.sleep(0.005)
+    return module
+
+
+def session_traffic(specialize: bool):
+    """Replies and capture records of one seeded record-framed Modbus session."""
+
+    async def traffic():
+        capture = Capture()
+        server = ObfuscatedServer("modbus", framing="record", seed=5,
+                                  capture=capture, capture_received=True,
+                                  specialize=specialize)
+        client = ObfuscatedClient("modbus", framing="record", seed=5,
+                                  specialize=specialize)
+        client.connect_memory(server)
+        rng = Random(11)
+        generator = registry.get("modbus").message_generator
+        replies = []
+        for _ in range(6):
+            reply = await client.request(generator(rng))
+            replies.append(reply.raw)
+        await client.close()
+        return replies, [record.data for record in capture.records]
+
+    return asyncio.run(traffic())
+
+
 class TestEmittedSource:
     def test_module_compiles_and_has_api(self, http_request_graph):
         source = generate_specialized_module(http_request_graph)
@@ -145,6 +192,25 @@ class TestEmittedSource:
         replayed = plan.replay(setup.graph_factory())
         assert source == generate_specialized_module(
             replayed, plan_fingerprint=plan.fingerprint)
+
+    def test_translate_tables_match_recorded_digest(self):
+        """The emitted ``_T`` tables of every registry direction at levels
+        1-4, seeds 0-2, recorded when each table was built byte by byte
+        through ``ValueOp._byte_op``."""
+        lines = [
+            line
+            for setup in registry.setups()
+            for _, graph_factory, _ in setup.directions()
+            for level in (1, 2, 3, 4)
+            for seed in range(3)
+            for line in generate_specialized_module(
+                Obfuscator(seed=seed).obfuscate(graph_factory(), level).graph
+            ).splitlines()
+            if re.match(r"_T\d+ = ", line)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (len(lines), digest) == (
+            472, "2e24b5c3630f5145368c86c06acebd04fe701081f71e76bde3a7c90b54187f28")
 
 
 class TestEquivalence:
@@ -376,6 +442,33 @@ class TestModuleCache:
         assert module_cache_stats()["disk_hits"] == 0
         assert f"__emitter_version__ = {EMITTER_VERSION!r}" in path.read_text()
 
+    def test_disk_cache_regenerates_unreadable_entry(self, tmp_path):
+        graph = registry.get("dns").graph_factory()
+        cached_module(graph, specialize=True, cache_dir=tmp_path)
+        path = next(tmp_path.glob("codec_*_spec.py"))
+        path.write_bytes(b"\xff\xfe not utf-8 \x80")
+        clear_module_cache()
+        module = cached_module(graph, specialize=True, cache_dir=tmp_path)
+        assert module.__emitter_version__ == EMITTER_VERSION
+        assert module_cache_stats()["disk_hits"] == 0
+        assert (f"__emitter_version__ = {EMITTER_VERSION!r}"
+                in path.read_text(encoding="utf-8"))
+
+    def test_worker_regenerates_unreadable_entry(self, tmp_path, monkeypatch):
+        """The background path resolves the disk layer as cached_module does."""
+        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
+        graph = dialect(registry.get("dns").graph_factory, 2, seed=606)
+        path = tmp_path / f"codec_{cache.module_fingerprint(graph)}_spec.py"
+        path.write_bytes(b"\xff\xfe not utf-8 \x80")
+        module = wait_for_module(graph)
+        assert module.__emitter_version__ == EMITTER_VERSION
+        assert module_cache_stats()["disk_hits"] == 0
+        assert path.read_text(encoding="utf-8") == generate_specialized_module(
+            graph, plan_fingerprint=cache.module_fingerprint(graph))
+        clear_module_cache()
+        wait_for_module(graph)
+        assert module_cache_stats()["disk_hits"] == 1
+
     def test_compiled_codec_shares_module_not_rng(self, rng):
         setup = registry.get("coap")
         codec_a = setup.compiled_codec("request", seed=1)
@@ -413,27 +506,147 @@ class TestVersionRefusal:
 
 class TestNetIntegration:
     def test_specialized_sessions_match_interpreted_bytes(self):
-        import asyncio
-
-        from repro.net import Capture, ObfuscatedClient, ObfuscatedServer
-
-        async def traffic(specialize: bool):
-            capture = Capture()
-            server = ObfuscatedServer("modbus", framing="record", seed=5,
-                                      capture=capture, capture_received=True,
-                                      specialize=specialize)
-            client = ObfuscatedClient("modbus", framing="record", seed=5,
-                                      specialize=specialize)
-            client.connect_memory(server)
-            rng = Random(11)
-            generator = registry.get("modbus").message_generator
-            replies = []
-            for _ in range(6):
-                reply = await client.request(generator(rng))
-                replies.append(reply.raw)
-            await client.close()
-            return replies, [record.data for record in capture.records]
-
-        interpreted = asyncio.run(traffic(False))
-        specialized = asyncio.run(traffic(True))
+        interpreted = session_traffic(False)
+        # Compiled first, so every codec of the session holds its module from
+        # the start: the session misses nothing and serves on the module.
+        setup = registry.get("modbus")
+        for direction in ("request", "response"):
+            cached_module(setup.reference_graph(direction), specialize=True)
+        before = module_cache_stats()
+        specialized = session_traffic(True)
+        after = module_cache_stats()
+        assert after["misses"] == before["misses"]
+        assert after["hits"] > before["hits"]
         assert interpreted == specialized
+
+
+class TestTierSwitch:
+    """A session's codec serves on the interpreted tier until its module,
+    compiled in the background worker, lands; then it switches in place."""
+
+    def setup_method(self):
+        clear_module_cache()
+
+    def teardown_method(self):
+        clear_module_cache()
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_switch_after_any_message_keeps_bytes(self, protocol_case, level, rng):
+        """A codec that gains its module after ``k`` messages serializes and
+        parses as either tier alone, for every ``k``."""
+        _, graph_factory, generator = protocol_case
+        graph = dialect(graph_factory, level)
+        module = cached_module(graph, specialize=True)
+        messages = [generator(rng) for _ in range(6)]
+        interpreted = Serializer(graph, rng=Random(3))
+        wires = [interpreted.serialize(message) for message in messages]
+        alone = SpecializedCodec(graph, seed=3, module=module)
+        assert [alone.serialize(message) for message in messages] == wires
+        parser = Parser(graph)
+        parsed = [parser.parse(wire) for wire in wires]
+        damaged = [outcome(parser.parse, wire[:-1]) for wire in wires]
+        for k in range(len(messages) + 1):
+            landed = [False]
+            poll = lambda: module if landed[0] else None  # noqa: E731
+            serializer = SpecializedCodec.tiering(graph, poll, seed=3)
+            decoder = SpecializedCodec.tiering(graph, poll, seed=3)
+            for index, message in enumerate(messages):
+                landed[0] = index >= k
+                assert serializer.serialize(message) == wires[index]
+                assert decoder.parse(wires[index]) == parsed[index]
+                assert outcome(decoder.parse, wires[index][:-1]) == damaged[index]
+                assert (serializer.module is module) == (index >= k)
+                assert (decoder.module is module) == (index >= k)
+
+    def test_background_miss_is_submitted_once_and_lands(self, monkeypatch, rng):
+        submitted = []
+        submit = cache._submit
+        monkeypatch.setattr(cache, "_submit",
+                            lambda *args: submitted.append(args) or submit(*args))
+        setup = registry.get("coap")
+        graph = dialect(setup.graph_factory, 2, seed=4242)
+        first = SpecializedCodec.tiering(graph, module_poll(graph), seed=0)
+        second = SpecializedCodec.tiering(graph, module_poll(graph), seed=0)
+        assert first.module is None
+        # One miss and one submit; asking for a pending compile is no hit.
+        assert len(submitted) == 1
+        assert module_cache_stats()["misses"] == 1
+        assert module_cache_stats()["hits"] == 0
+        module = wait_for_module(graph)
+        assert module.__file__.startswith("<generated:")
+        message = setup.message_generator(rng)
+        for codec in (first, second):
+            assert codec.serialize(message) == Serializer(
+                graph, rng=Random(0)).serialize(message)
+            assert codec.module is module
+        assert module_cache_stats()["misses"] == 1
+
+    @pytest.mark.parametrize("shape", UNWORKABLE)
+    def test_invalid_graph_raises_before_submitting(self, shape, monkeypatch):
+        submitted = []
+        monkeypatch.setattr(cache, "_submit", lambda *args: submitted.append(args))
+        graph, _, error = unworkable_graph(shape)
+        with pytest.raises(GraphError, match=f"^{re.escape(error)}$"):
+            SpecializedCodec.tiering(graph, module_poll(graph), seed=0)
+        assert submitted == []
+        assert module_cache_stats()["misses"] == 0
+
+    def test_sessions_compile_on_the_caller_without_a_worker(self, monkeypatch):
+        def unavailable(*args, **kwargs):
+            raise OSError("no process can start")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
+        monkeypatch.setattr(cache, "_POOL", None)
+        graph = dialect(registry.get("http").graph_factory, 2, seed=515)
+        codec = SpecializedCodec.tiering(graph, module_poll(graph), seed=0)
+        assert codec.module is not None
+        assert cache._POOL is False
+        interpreted = session_traffic(False)
+        clear_module_cache()
+        assert session_traffic(True) == interpreted
+        assert module_cache_stats()["misses"] > 0
+        assert cache._PENDING == {}
+
+    def test_failed_result_compiles_on_the_caller(self, monkeypatch, rng):
+        broken = Future()
+        broken.set_exception(BrokenProcessPool("the worker died"))
+        monkeypatch.setattr(cache, "_POOL", None)
+        monkeypatch.setattr(cache, "_submit", lambda *args: broken)
+        setup = registry.get("dns")
+        graph = dialect(setup.graph_factory, 2, seed=717)
+        codec = SpecializedCodec.tiering(graph, module_poll(graph), seed=0)
+        assert codec.module is None
+        message = setup.message_generator(rng)
+        assert codec.serialize(message) == Serializer(
+            graph, rng=Random(0)).serialize(message)
+        assert codec.module is not None
+        # The worker is not used again in this process.
+        assert cache._POOL is False
+
+    def test_process_exits_cleanly_after_background_compiles(self):
+        """One compile landed and one still running at exit: exit code 0 and
+        nothing on stderr (the worker is shut down before teardown)."""
+        script = textwrap.dedent("""
+            import time
+            from repro.codegen import module_poll
+            from repro.protocols import registry
+            from repro.transforms import Obfuscator
+
+            setup = registry.get("dns")
+            landed, running = (
+                Obfuscator(seed=seed).obfuscate(setup.graph_factory(), 2).graph
+                for seed in (1, 2))
+            poll = module_poll(landed)
+            while poll() is None:
+                time.sleep(0.005)
+            assert module_poll(running)() is None
+            print("ok")
+        """)
+        env = dict(os.environ)
+        env.pop(cache.CACHE_DIR_ENV, None)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = (src + os.pathsep + env["PYTHONPATH"]
+                             if env.get("PYTHONPATH") else src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")

@@ -35,6 +35,7 @@ from repro.wire import (
     plan_for,
     serialize,
 )
+from repro.wire.plan import _byte_tables
 
 PROTOCOL_GRAPH_CASES = [
     (f"{setup.key}_{direction}", graph_factory, generator)
@@ -176,3 +177,29 @@ def test_protocol_setup_reference_plan_is_shared():
     assert setup.reference_plan() is plan_for(setup.reference_graph())
     with pytest.raises(ValueError):
         setup.reference_graph("sideways")
+
+
+def _per_op_tables(chain):
+    """The tables of a byte-wise chain built byte by byte (the reference)."""
+    forward = list(range(256))
+    for op in chain:
+        forward = [op._byte_op(byte, False) for byte in forward]
+    inverse = list(range(256))
+    for op in reversed(chain):
+        inverse = [op._byte_op(byte, True) for byte in inverse]
+    return bytes(forward), bytes(inverse)
+
+
+def test_composed_byte_tables_match_per_op_reference():
+    """Every kind and constant alone, both directions, and random chains."""
+    for kind in ValueOpKind:
+        for constant in range(-300, 600):
+            chain = (ValueOp(kind, constant, bytewise=True),)
+            assert _byte_tables(chain) == _per_op_tables(chain), (kind, constant)
+    rng = Random(5)
+    kinds = list(ValueOpKind)
+    for _ in range(2000):
+        chain = tuple(ValueOp(rng.choice(kinds), rng.randrange(-1000, 1000),
+                              bytewise=True)
+                      for _ in range(rng.randrange(1, 6)))
+        assert _byte_tables(chain) == _per_op_tables(chain), chain
