@@ -36,7 +36,7 @@ from typing import Callable
 from ..core.errors import CodegenError
 from ..core.fingerprint import graph_fingerprint
 from ..core.graph import FormatGraph
-from ..core.validate import validate_graph
+from ..wire.plan import plan_for
 from .emitter import EMITTER_VERSION, generate_module
 from .loader import compile_source, load_code
 
@@ -150,11 +150,13 @@ def module_poll(graph: FormatGraph) -> Callable[[], types.ModuleType | None]:
     """A poll returning the specialized module of ``graph``, or ``None``
     while the background worker compiles it.
 
-    The first poll of a missed key validates the graph (raising the
-    emitter's ``GraphError`` there), counts one miss and submits the key,
-    once; the first poll after the worker finishes loads the module into the
-    LRU.  If the worker cannot start, or a submit or result fails, the miss
-    compiles on the caller's thread and the worker is not used again.
+    The first poll of a missed key compiles the graph's codec plan, which
+    validates it (raising the validator's ``GraphError`` there) and which
+    the tiering codec serves from until the module lands.  It then counts
+    one miss and submits the key, once; the first poll after the worker
+    finishes loads the module into the LRU.  If the worker cannot start, or
+    a submit or result fails, the miss compiles on the caller's thread and
+    the worker is not used again.
     """
     fingerprint = module_fingerprint(graph)
     key = (fingerprint, True, EMITTER_VERSION)
@@ -166,7 +168,7 @@ def module_poll(graph: FormatGraph) -> Callable[[], types.ModuleType | None]:
             return module
         future = _PENDING.get(key)
         if future is None:
-            validate_graph(graph)
+            plan_for(graph)
             _CACHE_STATS["misses"] += 1
             future = _submit(graph, fingerprint, directory)
             if future is None:

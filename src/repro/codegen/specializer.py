@@ -31,9 +31,10 @@ translates failures.
 Only valid graphs are compiled: :func:`generate_specialized_module` runs
 :func:`repro.core.validate.validate_graph` first.  So every uint is a
 fixed-size terminal whose chain folds into integer steps, every bytes/text
-chain folds into one translation table, and every LENGTH/COUNTER reference
-names a non-pad uint terminal; no emitted path replays errors that only
-invalid graphs could raise.
+chain folds into one translation table, every LENGTH/COUNTER or presence
+reference names a terminal parsed before it is read, every repeated node
+and every value carries a logical origin, and every synthesis node has two
+shares; no emitted path replays errors that only invalid graphs could raise.
 """
 
 from __future__ import annotations
@@ -117,8 +118,6 @@ class _SpecEmitter:
         self._n = 0
         self._ploops: list[str] = []
         self._sloops: list[str] = []
-        self._assigned: set[str] = set()
-        self._pdecls: set[str] = set()
         # -- module-level constants (deduplicated) ----------------------------
         self._structs: dict[str, str] = {}
         self._tables: dict[bytes, str] = {}
@@ -303,33 +302,6 @@ class _SpecEmitter:
     # parse emission
     # ======================================================================
 
-    def _p_raise(self, msg_expr: str, off_expr: str, node: str | None) -> None:
-        self.w(f"raise ParseError({msg_expr}, {off_expr}, {node!r})")
-
-    def _p_ref_int(self, ref: str, node_name: str, st: _Win, *,
-                   wrapped: bool) -> str:
-        """Emit the ``ref_value`` check for ``ref``; return the value expr.
-
-        Validation makes ``ref`` a non-pad fixed-size uint terminal serialized
-        before the node, so the only replay left is a value the emitter cannot
-        prove assigned (e.g. parsed inside an absent optional).  ``wrapped``
-        replays the :meth:`Parser._terminal_bytes` rewrapping: the inner
-        error string (with its own suffix) becomes the raw message and the
-        error carries ``offset=win.cursor``.
-        """
-        v = self.vvar(ref)
-        if v not in self._assigned:
-            self._pdecls.add(v)
-            raw = f"reference {ref!r} has not been parsed yet"
-            offset = "None"
-            if wrapped:
-                raw, offset = f"{raw} [node={node_name!r}]", st.off
-            self.w(f"if {v} is None:")
-            self.ind += 1
-            self._p_raise(repr(raw), offset, node_name)
-            self.ind -= 1
-        return v
-
     # -- terminal byte consumption --------------------------------------------
 
     def _p_fixed_guard(self, st: _Win, size: str | int, node: str | None) -> None:
@@ -367,7 +339,7 @@ class _SpecEmitter:
             self.w(f"    raise ParseError({template!r} % {st.off}, {st.off}, {name!r})")
             return f"{st.buf}[{st.off}:{p}]"
         if kind is BoundaryKind.LENGTH:
-            length = self._p_ref_int(node.boundary.ref or "", name, st, wrapped=True)
+            length = self.vvar(node.boundary.ref)
             self.w(f"if {length} < 0:")
             template = "cannot read a negative number of bytes (%d)"
             self.w(f"    raise ParseError({template!r} % {length}, {st.off}, {name!r})")
@@ -441,7 +413,6 @@ class _SpecEmitter:
             raw = self._p_terminal_raw(node, st, prebounded)
             self._p_decode(node, raw, dst)
             self._p_advance(node, st, prebounded, raw)
-        self._assigned.add(dst)
         if store_origin and node.origin is not None:
             self.emit_set(node.origin, self._ploops, dst)
 
@@ -459,8 +430,7 @@ class _SpecEmitter:
         if kind is BoundaryKind.FIXED:
             size_expr = str(node.boundary.size)
         elif kind is BoundaryKind.LENGTH:
-            size_expr = self._p_ref_int(node.boundary.ref, node.name, st,
-                                        wrapped=False)
+            size_expr = self.vvar(node.boundary.ref)
             self.w(f"if {size_expr} < 0:")
             template = "cannot read a negative number of bytes (%d)"
             self.w(f"    raise ParseError({template!r} % {size_expr}, None, None)")
@@ -490,8 +460,7 @@ class _SpecEmitter:
         if prebounded:
             return st, True
         if node.boundary.kind is BoundaryKind.LENGTH:
-            length = self._p_ref_int(node.boundary.ref or "", node.name, st,
-                                     wrapped=False)
+            length = self.vvar(node.boundary.ref)
             self.w(f"if {length} < 0:")
             template = "negative sub-window length (%d)"
             self.w(f"    raise ParseError({template!r} % {length}, None, None)")
@@ -614,12 +583,8 @@ class _SpecEmitter:
             else:  # BYTES / TEXT: unpack produced bytes
                 self._p_decode(child, tmp, dst)
         for child, _, _ in run:
-            if child.is_pad:
-                continue
-            dst = self.vvar(child.name)
-            self._assigned.add(dst)
-            if child.origin is not None:
-                self.emit_set(child.origin, self._ploops, dst)
+            if not child.is_pad and child.origin is not None:
+                self.emit_set(child.origin, self._ploops, self.vvar(child.name))
 
     # -- synthesis --------------------------------------------------------------
 
@@ -635,11 +600,6 @@ class _SpecEmitter:
                                  store_origin=False)
             else:
                 self._p_terminal(child, st, store_origin=False)
-        if len(shares) != 2:
-            raw = (f"synthesis node {node.name!r} expected two value children, "
-                   f"found {len(shares)}")
-            self._p_raise(repr(raw), "None", None)
-            return
         synthesis = node.synthesis
         assert synthesis is not None
         first, second = self.vvar(shares[0].name), self.vvar(shares[1].name)
@@ -680,40 +640,22 @@ class _SpecEmitter:
 
     def _p_optional(self, node: Node, st: _Win) -> None:
         if node.presence_ref is not None:
-            ref = node.presence_ref
-            v = self.vvar(ref)
-            if v not in self._assigned:
-                self._pdecls.add(v)
-                raw = f"presence reference {ref!r} has not been parsed yet"
-                self.w(f"if {v} is None:")
-                self.ind += 1
-                self._p_raise(repr(raw), "None", node.name)
-                self.ind -= 1
-            self.w(f"if {v} == {node.presence_value!r}:")
+            self.w(f"if {self.vvar(node.presence_ref)} == {node.presence_value!r}:")
         else:
             self.w(f"if {st.off} < {st.end}:")
         self.ind += 1
-        snapshot = set(self._assigned)
         self._p_node(node.children[0], st)
-        self._assigned = snapshot
         self.ind -= 1
 
     # -- repetitions -------------------------------------------------------------
 
     def _p_repetition(self, node: Node, st: _Win, *, prebounded: bool) -> None:
-        if node.origin is None:
-            raw = f"repeated node {node.name!r} has no logical origin"
-            self._p_raise(repr(raw), "None", None)
-            return
         self.emit_list_init(node.origin, self._ploops)
         child = node.children[0]
         kind = node.boundary.kind
         loop = f"i{len(self._ploops)}"
-        snapshot = set(self._assigned)
         if kind is BoundaryKind.COUNTER:
-            count = self._p_ref_int(node.boundary.ref or "", node.name, st,
-                                    wrapped=False)
-            self.w(f"for {loop} in range({count}):")
+            self.w(f"for {loop} in range({self.vvar(node.boundary.ref)}):")
             self.ind += 1
             self._ploops.append(loop)
             self._p_node(child, st)
@@ -742,7 +684,6 @@ class _SpecEmitter:
             self.w(f"{loop} += 1")
             self._ploops.pop()
             self.ind -= 1
-        self._assigned = snapshot
 
     # ======================================================================
     # serialize emission
@@ -813,11 +754,6 @@ class _SpecEmitter:
         if value_override is not None:
             self.w(f"{x} = {value_override}")
         else:
-            if node.origin is None:
-                template = (f"terminal {node.name!r} carries no logical origin "
-                            f"and no derived value")
-                self.w(f"raise SerializationError({template!r})")
-                return
             self.emit_get(x, node.origin, self._sloops)
             self._s_missing(node, x, "terminal")
         self._s_encode(node, x)
@@ -831,10 +767,6 @@ class _SpecEmitter:
         self.w(f"out += {self.zero_const(width)}")
 
     def _s_counter(self, node: Node, counted: Node) -> None:
-        if counted.origin is None:
-            template = f"counted node {counted.name!r} carries no logical origin"
-            self.w(f"raise SerializationError({template!r})")
-            return
         x = self.var("x")
         self.emit_get(x, counted.origin, self._sloops)
         path = self.path_display(counted.origin, self._sloops)
@@ -1007,16 +939,6 @@ class _SpecEmitter:
             else:
                 self.w(f"{s2} = {logical} ^ {s1}")
         shares = [s1, s2]
-        value_children = [
-            child for child in node.children
-            if child.name not in self.length_sources
-        ]
-        if len(value_children) != 2:
-            template = (f"synthesis node {node.name!r} has "
-                        f"{'more' if len(value_children) > 2 else 'fewer'} "
-                        f"value children than shares")
-            self.w(f"raise SerializationError({template!r})")
-            return
         for child in node.children:
             if child.name in self.length_sources:
                 self._s_node(child)
@@ -1040,12 +962,9 @@ class _SpecEmitter:
     # -- optionals ----------------------------------------------------------------
 
     def _s_optional(self, node: Node) -> None:
-        presence_origin = None
         if node.presence_ref is not None:
-            presence_origin = self.node_map[node.presence_ref].origin
-        if presence_origin is not None:
             x = self.var("x")
-            self.emit_get(x, presence_origin, self._sloops)
+            self.emit_get(x, self.node_map[node.presence_ref].origin, self._sloops)
             self.w(f"if {x} == {node.presence_value!r}:")
         elif node.origin is None:
             return
@@ -1060,10 +979,6 @@ class _SpecEmitter:
     # -- repetitions ---------------------------------------------------------------
 
     def _s_repetition(self, node: Node) -> None:
-        if node.origin is None:
-            template = f"repeated node {node.name!r} has no logical origin"
-            self.w(f"raise SerializationError({template!r})")
-            return
         x = self.var("x")
         self.emit_get(x, node.origin, self._sloops)
         path = self.path_display(node.origin, self._sloops)
@@ -1120,8 +1035,6 @@ class _SpecEmitter:
     def _emit_parse_body(self) -> list[str]:
         self.cur = []
         self.ind = 1
-        self._assigned = set()
-        self._pdecls = set()
         mv = None
         if any(node.mirrored for node in self.nodes):
             mv = "mv"
@@ -1139,8 +1052,6 @@ class _SpecEmitter:
         if mv is not None:
             out.append("    mv = memoryview(data)")
         out.append("    msg = {}")
-        for decl in sorted(self._pdecls):
-            out.append(f"    {decl} = None")
         out.extend(body)
         out.append("    if strict and o != e:")
         out.append("        raise ParseError('%d trailing byte(s) after the message'"

@@ -241,8 +241,8 @@ ROOT_PATH = FieldPath(())
 # The wire runtime reads or writes a field once per terminal per message, and
 # applications do the same through Message.get/set.  An Accessor binds the
 # path's steps once and reads the repetition indices straight off the live
-# index sequence.  The common shapes (one key, two keys, ``list[i].key``) get
-# dedicated closures; every other path takes the generic walk.
+# index sequence.  The common shapes (one key, two keys, ``list[i].key``, more
+# keys) get dedicated closures; every other path takes the generic walk.
 
 _ABSENT = object()
 
@@ -319,6 +319,19 @@ def _compile_get(path: FieldPath) -> Callable[..., Any]:
             return entry.get(inner, default)
 
         return get_element
+
+    if steps and all(isinstance(step, str) for step in steps):
+        heads, last = steps[:-1], steps[-1]
+
+        def get_keys(data: dict, indices: Sequence[int], default: Any = None) -> Any:
+            container: Any = data
+            for key in heads:
+                container = container.get(key)
+                if not isinstance(container, dict):
+                    return default
+            return container.get(last, default)
+
+        return get_keys
 
     def get(data: dict, indices: Sequence[int], default: Any = None) -> Any:
         container: Any = data
@@ -397,6 +410,23 @@ def _compile_set(path: FieldPath) -> Callable[[dict, Sequence[int], Any], None]:
             raise MessageError("cannot assign the message root; use from_dict instead")
 
         return set_root
+
+    if all(isinstance(step, str) for step in steps):
+        heads, last = steps[:-1], steps[-1]
+
+        def set_keys(data: dict, indices: Sequence[int], value: Any) -> None:
+            container: Any = data
+            for position, key in enumerate(heads, 1):
+                existing = container.get(key)
+                if not isinstance(existing, dict):
+                    if isinstance(existing, list):
+                        raise _mismatch("dict", path, indices, position)
+                    existing = {}
+                    container[key] = existing
+                container = existing
+            container[last] = value
+
+        return set_keys
 
     arity = path.index_arity()
     # (step, whether the container it leads to is a list) per descent.

@@ -12,7 +12,12 @@ transformation engine and by the test suite.  The engine validates after every
 step, so one pre-order walk collects what the rules need and the rules then
 run over the collected node list.  Rule order decides which error a graph
 breaking several rules reports: duplicate names first, then the per-node rules
-node by node in pre-order, then shared LENGTH targets, then window layout.
+node by node in pre-order, then shared LENGTH targets, then window layout,
+then the codec contract.
+
+Every codec tier compiles only validated graphs
+(:func:`repro.wire.plan.compile_plan` and the specializer validate first), so
+what the rules exclude no tier re-checks per message.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ def validate_graph(graph: FormatGraph) -> None:
     if shared_length is not None:
         raise GraphError(shared_length)
     _check_window_layout(nodes, position)
+    _check_codec_contract(nodes, position, ref_targets)
 
 
 def _walk(graph: FormatGraph):
@@ -293,4 +299,50 @@ def _check_window_layout(nodes: list[Node], position: dict[str, int]) -> None:
             opens_window = node.boundary.kind is _LENGTH or node.mirrored
             tail_allowed[position[node.children[-1].name]] = (
                 opens_window or tail_allowed[index]
+            )
+
+
+def _check_codec_contract(nodes: list[Node], position: dict[str, int],
+                          ref_targets: set[str]) -> None:
+    """Where the codecs find every value, checked after every other rule.
+
+    * Repetitions and tabulars carry a logical origin: their element list.
+    * Every terminal carries one unless it is padding, a length/counter
+      field or a child of a synthesis node: nothing else gives it a value.
+    * A synthesis child that a LENGTH or COUNTER boundary references is the
+      length prefix of a sibling (SplitCat of a variable-size terminal), so
+      it is no share; every tier tells the two apart by that reference.
+    * An optional's presence reference names a terminal that carries a
+      logical origin: the serializer reads the presence value there, the
+      parser on the wire.
+    """
+    for node in nodes:
+        if node.origin is None:
+            if node.type is _REPETITION or node.type is _TABULAR:
+                raise GraphError(
+                    f"{node.type.value} node {node.name!r} must carry a logical origin"
+                )
+            if (node.type is _TERMINAL and not node.is_pad
+                    and node.name not in ref_targets
+                    and (node.parent is None or node.parent.synthesis is None)):
+                raise GraphError(
+                    f"terminal {node.name!r} must carry a logical origin: it is no "
+                    f"pad, length/counter field or synthesis child"
+                )
+        ref = node.boundary.ref
+        if ref is not None:
+            # A reference target precedes the node, so it is never the root.
+            holder = nodes[position[ref]].parent
+            if holder.synthesis is not None and (
+                    node.boundary.kind is not _LENGTH or node.parent is not holder):
+                raise GraphError(
+                    f"synthesis child {ref!r} of {holder.name!r} may be referenced "
+                    f"only by a sibling's length boundary, not by {node.name!r}"
+                )
+        presence = node.presence_ref
+        if (presence is not None and node.type is _OPTIONAL
+                and nodes[position[presence]].origin is None):
+            raise GraphError(
+                f"presence reference {presence!r} of optional {node.name!r} must "
+                f"carry a logical origin"
             )

@@ -184,28 +184,26 @@ class RecordDecoder:
     envelope makes possible.  Header-level damage (an implausible length
     prefix) remains terminal either way.
 
-    ``max_record_size`` bounds one record's *declared* payload size,
-    per-instance (default :data:`MAX_RECORD_SIZE`); the declaration is
-    validated the moment the 4 header bytes arrive — before a single payload
-    byte is buffered toward it — and a violation raises a typed
-    :class:`~repro.core.errors.BudgetExceeded`.  ``budget`` (duck-typed,
-    usually a :class:`~repro.net.governance.ResourceBudget`) supplies that
-    limit via ``max_declared_bytes`` plus ``max_stream_bytes`` (cap on the
-    decoder's buffered backlog) and ``max_steps_per_feed`` (cap on records
-    decoded from one fed chunk).
+    ``budget`` (duck-typed, usually a
+    :class:`~repro.net.governance.ResourceBudget`) supplies the limits:
+    ``max_declared_bytes`` bounds one record's *declared* payload size
+    (default :data:`MAX_RECORD_SIZE`, kept as :attr:`max_record_size`); the
+    declaration is validated the moment the 4 header bytes arrive — before a
+    single payload byte is buffered toward it — and a violation raises a
+    typed :class:`~repro.core.errors.BudgetExceeded`.  ``max_stream_bytes``
+    caps the decoder's buffered backlog and ``max_steps_per_feed`` the
+    records decoded from one fed chunk.
     """
 
     def __init__(self, graph: FormatGraph, *, plan: CodecPlan | None = None,
                  key_resolver: "Callable[[str], FormatGraph] | None" = None,
-                 resync: bool = False, max_record_size: int | None = None,
-                 budget=None, parser_factory=None):
-        if max_record_size is None:
-            max_record_size = getattr(budget, "max_declared_bytes", None)
+                 resync: bool = False, budget=None, parser_factory=None):
+        max_record_size = getattr(budget, "max_declared_bytes", None)
         if max_record_size is None:
             max_record_size = MAX_RECORD_SIZE
         if not 0 < max_record_size < BUSY_SENTINEL:
             raise StreamError(
-                f"max_record_size must be in 1..{BUSY_SENTINEL - 1} "
+                f"max_declared_bytes must be in 1..{BUSY_SENTINEL - 1} "
                 f"({max_record_size}): the control-record sentinels live above"
             )
         self.graph = graph
@@ -409,9 +407,7 @@ class RecordDecoder:
 def make_decoder(graph: FormatGraph, framing: str, *,
                  plan: CodecPlan | None = None,
                  key_resolver: "Callable[[str], FormatGraph] | None" = None,
-                 resync: bool = False, budget=None,
-                 max_record_size: int | None = None,
-                 parser_factory=None):
+                 resync: bool = False, budget=None, parser_factory=None):
     """Instantiate the incremental decoder matching a resolved framing.
 
     ``key_resolver`` enables rotation control records; only record framing
@@ -420,8 +416,7 @@ def make_decoder(graph: FormatGraph, framing: str, *,
     record-framing capability; a native stream has no boundary to resume at,
     so requesting resync there is an error rather than a silent downgrade.
     ``budget`` (a :class:`~repro.net.governance.ResourceBudget` or any
-    duck-typed equivalent) threads per-session limits into either decoder;
-    ``max_record_size`` additionally overrides the record-size ceiling.
+    duck-typed equivalent) threads per-session limits into either decoder.
     ``parser_factory`` (graph → object with ``parse(payload, strict=True)``)
     swaps whole-record parsing to an alternative codec tier — the specialized
     compiled modules in practice.  Record framing only: native framing parses
@@ -442,7 +437,6 @@ def make_decoder(graph: FormatGraph, framing: str, *,
     if framing == "record":
         return RecordDecoder(graph, plan=plan, key_resolver=key_resolver,
                              resync=resync, budget=budget,
-                             max_record_size=max_record_size,
                              parser_factory=parser_factory)
     raise ValueError(f"unresolved framing {framing!r}")
 

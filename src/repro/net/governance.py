@@ -10,8 +10,7 @@ graceful degradation the resilience study measures:
 * a :class:`ResourceBudget` caps what one session may cost: buffered stream
   bytes, pending decoded messages, declared record/field sizes (validated
   *before* any buffering toward them) and decode work per feed.  The limits
-  are enforced inside :class:`~repro.wire.streaming.StreamSource` /
-  :class:`~repro.wire.streaming.StreamingDecoder`,
+  are enforced inside :class:`~repro.wire.streaming.StreamingDecoder`,
   :class:`~repro.net.framing.RecordDecoder` and the session pumps; every
   violation raises a typed :class:`BudgetExceeded` naming the resource, so
   an overload diagnosis is always attributable to a counter.

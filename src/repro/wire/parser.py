@@ -10,6 +10,10 @@ undoing every transformation on the fly:
 * padding terminals are read and discarded,
 * derived length/counter fields are decoded and used to delimit the nodes that
   reference them but are not stored in the logical message.
+
+The plan it runs against compiles only validated graphs, so the walk trusts the
+graph's shape: every reference is parsed before it is read, every synthesis
+node has two shares and every value has a logical origin to go to.
 """
 
 from __future__ import annotations
@@ -50,19 +54,10 @@ class _ParseContext:
         #: LENGTH/COUNTER boundaries and Optional presence conditions.  Within a
         #: repetition element the latest value is always the one belonging to the
         #: current element because references never cross element boundaries.
+        #: Validation makes each referenced terminal a fixed-size uint parsed
+        #: before any node that reads it.
         self.raw_values: dict[str, Value] = {}
         self.index_stack: list[int] = []
-
-    def ref_value(self, ref: str, *, node: str) -> int:
-        """Integer value of a previously parsed length/counter terminal."""
-        if ref not in self.raw_values:
-            raise ParseError(
-                f"reference {ref!r} has not been parsed yet", node=node
-            )
-        value = self.raw_values[ref]
-        if not isinstance(value, int):
-            raise ParseError(f"reference {ref!r} is not an integer", node=node)
-        return value
 
 
 class Parser:
@@ -137,8 +132,7 @@ class Parser:
         if prebounded:
             return win, True
         if node.boundary.kind is _LENGTH:
-            length = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
-            return win.subwindow(length), True
+            return win.subwindow(ctx.raw_values[node.boundary.ref]), True  # type: ignore[arg-type,index]
         return win, False
 
     # -- terminals ------------------------------------------------------------
@@ -161,8 +155,7 @@ class Parser:
             if kind is _DELIMITED:
                 return win.read_until(node.boundary.delimiter or b"")
             if kind is _LENGTH:
-                length = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
-                return win.read(length)
+                return win.read(ctx.raw_values[node.boundary.ref])  # type: ignore[arg-type,index]
             return win.read_rest()
         except ParseError as exc:
             raise ParseError(str(exc), node=node.name, offset=win.cursor) from exc
@@ -181,15 +174,11 @@ class Parser:
         if kind is _FIXED:
             return win.read(node.boundary.size or 0)
         if kind is _LENGTH:
-            return win.read(ctx.ref_value(node.boundary.ref, node=node.name))  # type: ignore[arg-type]
+            return win.read(ctx.raw_values[node.boundary.ref])  # type: ignore[arg-type,index]
         if kind is _END:
             return win.read_rest()
-        size = self.plan.static_sizes.get(node.name)
-        if size is None:
-            raise ParseError(
-                "mirrored node has no parse-time determinable extent", node=node.name
-            )
-        return win.read(size)
+        # Validation gives every other mirrored node a static size.
+        return win.read(self.plan.static_sizes[node.name])  # type: ignore[arg-type]
 
     # -- composites -----------------------------------------------------------
 
@@ -214,14 +203,7 @@ class Parser:
                 self._parse_node(child, win, ctx)
                 continue
             shares.append(self._parse_split_child(child, win, ctx))
-        if len(shares) != 2:
-            raise ParseError(
-                f"synthesis node {node.name!r} expected two value children, "
-                f"found {len(shares)}"
-            )
         combined = node.synthesis.combine(shares[0], shares[1])  # type: ignore[union-attr]
-        if node.origin is None:
-            raise ParseError(f"synthesis node {node.name!r} has no logical origin")
         self.plan.origin_set[node.name](ctx.data, ctx.index_stack, combined)
 
     def _parse_split_child(self, child: Node, win: Window, ctx: _ParseContext) -> Value:
@@ -242,17 +224,10 @@ class Parser:
 
     def _optional_present(self, node: Node, win: Window, ctx: _ParseContext) -> bool:
         if node.presence_ref is not None:
-            if node.presence_ref not in ctx.raw_values:
-                raise ParseError(
-                    f"presence reference {node.presence_ref!r} has not been parsed yet",
-                    node=node.name,
-                )
             return ctx.raw_values[node.presence_ref] == node.presence_value
         return not win.at_end()
 
     def _parse_repetition(self, node: Node, win: Window, ctx: _ParseContext) -> None:
-        if node.origin is None:
-            raise ParseError(f"repeated node {node.name!r} has no logical origin")
         self.plan.list_init[node.name](ctx.data, ctx.index_stack)
         child = node.children[0]
         kind = node.boundary.kind
@@ -265,8 +240,7 @@ class Parser:
                 ctx.index_stack.pop()
 
         if kind is _COUNTER:
-            count = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
-            for index in range(count):
+            for index in range(ctx.raw_values[node.boundary.ref]):  # type: ignore[arg-type,index]
                 parse_element(index)
             return
         if kind is _DELIMITED:

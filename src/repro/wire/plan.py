@@ -17,6 +17,11 @@ source paper applies to its generated C++ parsers:
   fused, with byte-translation tables for byte-wise chains),
 * pre-encoded delimiters and fixed-width length-slot templates.
 
+Only validated graphs compile: :func:`compile_plan` runs
+:func:`~repro.core.validate.validate_graph` first, so no plan path, and no
+parse or serialize step run against a plan, re-checks a shape the validator
+excludes.
+
 Plans are cached at two levels (:func:`plan_for`).  Graphs stamped with an
 obfuscation-plan fingerprint (``graph.plan_fingerprint``, set by
 :meth:`repro.transforms.plan.ObfuscationPlan.replay` and
@@ -45,16 +50,8 @@ from ..core.errors import SerializationError
 from ..core.fieldpath import FieldPath, accessor
 from ..core.graph import FormatGraph
 from ..core.node import Node, NodeType
-from ..core.values import (
-    Endian,
-    Value,
-    ValueKind,
-    ValueOp,
-    ValueOpKind,
-    apply_chain,
-    encode_value,
-    invert_chain,
-)
+from ..core.validate import validate_graph
+from ..core.values import Endian, Value, ValueKind, ValueOp, ValueOpKind, encode_value
 from .pieces import LengthSlot
 
 
@@ -99,21 +96,19 @@ def _byte_tables(chain: tuple[ValueOp, ...]) -> tuple[bytes, bytes]:
 
 
 def _int_chain_steps(chain: tuple[ValueOp, ...], *, inverse: bool
-                     ) -> list[tuple[bool, int, int]] | None:
-    """``(is_add, constant, mask)`` steps of a pure-integer chain, or ``None``.
+                     ) -> list[tuple[bool, int, int]]:
+    """``(is_add, constant, mask)`` steps of a uint terminal's chain.
 
-    Every integer operation is either an addition modulo a power of two or a
-    xor; subtractions (and inverted additions) normalize to additions of the
-    complement, so one ``(v + c) & mask`` / ``v ^ c`` step per op remains.
-    Returns ``None`` when the chain contains byte-wise or width-less ops.
-    Both the plan's closures and the specializer's folded expressions are
-    built from these steps.
+    Validation makes every op of a uint chain an integer op of the
+    terminal's width.  Every integer operation is either an addition modulo a
+    power of two or a xor; subtractions (and inverted additions) normalize to
+    additions of the complement, so one ``(v + c) & mask`` / ``v ^ c`` step
+    per op remains.  Both the plan's closures and the specializer's folded
+    expressions are built from these steps.
     """
     steps: list[tuple[bool, int, int]] = []
     ordered = reversed(chain) if inverse else chain
     for op in ordered:
-        if op.bytewise or op.width is None:
-            return None
         modulus = 1 << (8 * op.width)
         mask = modulus - 1
         constant = op.constant % modulus
@@ -127,11 +122,9 @@ def _int_chain_steps(chain: tuple[ValueOp, ...], *, inverse: bool
 
 
 def _int_chain_fn(chain: tuple[ValueOp, ...], *, inverse: bool
-                  ) -> Callable[[Value], Value] | None:
-    """Fuse a pure-integer chain into one closure over its normalized steps."""
+                  ) -> Callable[[Value], Value]:
+    """Fuse a uint terminal's chain into one closure over its normalized steps."""
     steps = _int_chain_steps(chain, inverse=inverse)
-    if steps is None:
-        return None
     if len(steps) == 1:
         is_add, constant, mask = steps[0]
         if is_add:
@@ -152,44 +145,32 @@ def _compile_chain(kind: ValueKind, chain: tuple[ValueOp, ...]
                    ) -> tuple[Callable[[Value], Value], Callable[[Value], Value]] | None:
     """Compose a codec chain into one ``(apply, invert)`` callable pair.
 
-    Returns ``None`` for the identity chain.  Chains that mix byte-wise and
-    integer operations (never produced by the transformations, but permitted
-    by the data model) fall back to the generic per-op interpreters.
+    Returns ``None`` for the identity chain.  Validation leaves integer ops of
+    the terminal's width on uints and byte-wise ops on bytes/text, so a chain
+    folds into integer steps or into one translation table per direction.
     """
     if not chain:
         return None
     if kind is ValueKind.UINT:
-        apply_fn = _int_chain_fn(chain, inverse=False)
-        invert_fn = _int_chain_fn(chain, inverse=True)
-        if apply_fn is not None and invert_fn is not None:
-            return apply_fn, invert_fn
-    if all(op.bytewise for op in chain) and kind in (ValueKind.BYTES, ValueKind.TEXT):
-        forward_table, inverse_table = _byte_tables(chain)
-        if kind is ValueKind.BYTES:
-            def apply_fused(value: Value) -> Value:
-                data = value if isinstance(value, bytes) else encode_value(value, kind)
-                return data.translate(forward_table)
+        return _int_chain_fn(chain, inverse=False), _int_chain_fn(chain, inverse=True)
+    forward_table, inverse_table = _byte_tables(chain)
+    if kind is ValueKind.BYTES:
+        def apply_fused(value: Value) -> Value:
+            data = value if isinstance(value, bytes) else encode_value(value, kind)
+            return data.translate(forward_table)
 
-            def invert_fused(value: Value) -> Value:
-                data = value if isinstance(value, bytes) else encode_value(value, kind)
-                return data.translate(inverse_table)
-        else:
-            def apply_fused(value: Value) -> Value:
-                data = encode_value(value, kind)
-                return data.translate(forward_table).decode("latin-1")
+        def invert_fused(value: Value) -> Value:
+            data = value if isinstance(value, bytes) else encode_value(value, kind)
+            return data.translate(inverse_table)
+    else:
+        def apply_fused(value: Value) -> Value:
+            data = encode_value(value, kind)
+            return data.translate(forward_table).decode("latin-1")
 
-            def invert_fused(value: Value) -> Value:
-                data = encode_value(value, kind)
-                return data.translate(inverse_table).decode("latin-1")
-        return apply_fused, invert_fused
-
-    def apply_generic(value: Value) -> Value:
-        return apply_chain(value, kind, chain)
-
-    def invert_generic(value: Value) -> Value:
-        return invert_chain(value, kind, chain)
-
-    return apply_generic, invert_generic
+        def invert_fused(value: Value) -> Value:
+            data = encode_value(value, kind)
+            return data.translate(inverse_table).decode("latin-1")
+    return apply_fused, invert_fused
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +354,7 @@ class CodecPlan:
         Value-carrying terminal name -> :class:`TerminalPlan`.
     presence_origins:
         Optional-node name -> logical origin path of its presence terminal
-        (only nodes whose presence reference resolves to an origin-carrying
-        terminal appear here).
+        (validation gives every presence terminal an origin).
     origin_get / origin_set / list_init:
         Node name -> walker of its origin over the logical message data, taken
         from the shared :func:`repro.core.fieldpath.accessor` of the origin;
@@ -405,7 +385,7 @@ class CodecPlan:
         ref_targets: frozenset[str],
         length_slots: dict[str, LengthSlot],
         length_targets: frozenset[str],
-        counter_sources: dict[str, tuple[str, FieldPath | None]],
+        counter_sources: dict[str, tuple[str, FieldPath]],
         static_sizes: dict[str, int | None],
         terminals: dict[str, TerminalPlan],
         presence_origins: dict[str, FieldPath],
@@ -425,7 +405,7 @@ class CodecPlan:
         #: one-probe union of the two derived-field maps, checked once per
         #: terminal per message: length-field name -> its LengthSlot template,
         #: counter-field name -> its (counted node name, origin) tuple.
-        self.derived_fields: dict[str, LengthSlot | tuple[str, FieldPath | None]] = {
+        self.derived_fields: dict[str, LengthSlot | tuple[str, FieldPath]] = {
             **counter_sources,
             **length_slots,
         }
@@ -468,7 +448,12 @@ def _reference_maps(nodes: Iterable[Node]) -> tuple[dict[str, Node], dict[str, N
 
 
 def compile_plan(graph: FormatGraph) -> CodecPlan:
-    """Compile ``graph`` into a fresh :class:`CodecPlan` (no caching)."""
+    """Validate ``graph`` and compile it into a fresh :class:`CodecPlan` (no caching).
+
+    An invalid graph raises the validator's
+    :class:`~repro.core.errors.GraphError` before anything compiles.
+    """
+    validate_graph(graph)
     nodes = list(graph.nodes())
     length_sources, counted = _reference_maps(nodes)
     counter_sources = {ref: (node.name, node.origin) for ref, node in counted.items()}
@@ -482,14 +467,11 @@ def compile_plan(graph: FormatGraph) -> CodecPlan:
             presence_refs[node.name] = node.presence_ref
         if node.type is NodeType.TERMINAL and not node.is_pad:
             terminal_nodes.append(node)
-    presence_origins = {
-        name: origins[ref] for name, ref in presence_refs.items() if ref in origins
-    }
+    presence_origins = {name: origins[ref] for name, ref in presence_refs.items()}
     walkers = {name: accessor(origin) for name, origin in origins.items()}
     counter_get = {
         field_name: accessor(source_origin).get
         for field_name, (_, source_origin) in counter_sources.items()
-        if source_origin is not None
     }
     presence_get = {
         name: accessor(path).get for name, path in presence_origins.items()
@@ -576,7 +558,7 @@ def _forget_identity(key: int) -> None:
 
 
 def plan_for(graph: FormatGraph) -> CodecPlan:
-    """Cached plan of ``graph``; compiled on first use.
+    """Cached plan of ``graph``; validated and compiled on first use.
 
     Stamped graphs (``graph.plan_fingerprint`` set by the obfuscation-plan
     layer) share their compiled plan with every other graph replayed from the

@@ -19,7 +19,8 @@ The traversal executes against a compiled :class:`~repro.wire.plan.CodecPlan`
 (length/counter source maps, fused codec callables, slot templates) and
 appends into one shared :class:`PieceList` accumulator instead of merging a
 piece list per node, which keeps the per-message cost linear in the number of
-emitted pieces.
+emitted pieces.  The plan compiles only validated graphs, so every value the
+walk reads has a logical origin and every synthesis node two shares.
 """
 
 from __future__ import annotations
@@ -187,14 +188,10 @@ class Serializer:
                         )
                     )
                     return
-                source_name, source_origin = derived
-                if source_origin is None:
-                    raise SerializationError(
-                        f"counted node {source_name!r} carries no logical origin"
-                    )
+                _, counted_origin = derived
                 count = self._list_length(
                     ctx.plan.counter_get[node.name](ctx.data, ctx.index_stack),
-                    source_origin, ctx,
+                    counted_origin, ctx,
                 )
                 self._emit_value(node, count, ctx, out)
                 return
@@ -219,10 +216,6 @@ class Serializer:
         out.add_bytes(encoded, node=node.name, origin=node.origin)
 
     def _logical_value(self, node: Node, ctx: _SerializeContext) -> object:
-        if node.origin is None:
-            raise SerializationError(
-                f"terminal {node.name!r} carries no logical origin and no derived value"
-            )
         value = ctx.plan.origin_get[node.name](ctx.data, ctx.index_stack)
         if value is None:
             raise SerializationError(
@@ -257,30 +250,20 @@ class Serializer:
                 self._serialize_node(child, ctx, out)
 
     def _serialize_synthesis(self, node: Node, ctx: _SerializeContext, out: PieceList) -> None:
-        if node.origin is None:
-            raise SerializationError(f"synthesis node {node.name!r} has no logical origin")
         value = ctx.plan.origin_get[node.name](ctx.data, ctx.index_stack)
         if value is None:
             raise SerializationError(
                 f"logical message is missing field {ctx.resolve(node.origin)} "
                 f"(synthesis node {node.name!r})"
             )
-        shares = list(node.synthesis.split(value, ctx.rng, split_at=node.split_at))
+        shares = iter(node.synthesis.split(value, ctx.rng, split_at=node.split_at))
         for child in node.children:
             if child.name in ctx.plan.length_slots:
                 # Derived length prefix created by SplitCat on a variable-size
                 # terminal: emitted as a regular length slot.
                 self._serialize_node(child, ctx, out)
                 continue
-            if not shares:
-                raise SerializationError(
-                    f"synthesis node {node.name!r} has more value children than shares"
-                )
-            self._serialize_split_child(child, shares.pop(0), ctx, out)
-        if shares:
-            raise SerializationError(
-                f"synthesis node {node.name!r} has fewer value children than shares"
-            )
+            self._serialize_split_child(child, next(shares), ctx, out)
 
     def _serialize_split_child(self, child: Node, value: object,
                                ctx: _SerializeContext, out: PieceList) -> None:
@@ -301,16 +284,13 @@ class Serializer:
 
     def _optional_present(self, node: Node, ctx: _SerializeContext) -> bool:
         if node.presence_ref is not None:
-            presence_get = ctx.plan.presence_get.get(node.name)
-            if presence_get is not None:
-                return presence_get(ctx.data, ctx.index_stack) == node.presence_value
+            return (ctx.plan.presence_get[node.name](ctx.data, ctx.index_stack)
+                    == node.presence_value)
         if node.origin is None:
             return False
         return ctx.plan.origin_get[node.name](ctx.data, ctx.index_stack) is not None
 
     def _serialize_repetition(self, node: Node, ctx: _SerializeContext, out: PieceList) -> None:
-        if node.origin is None:
-            raise SerializationError(f"repeated node {node.name!r} has no logical origin")
         count = self._list_length(
             ctx.plan.origin_get[node.name](ctx.data, ctx.index_stack), node.origin, ctx
         )

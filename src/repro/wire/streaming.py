@@ -79,22 +79,17 @@ class StreamSource:
     prefix without renumbering anything, which keeps memory bounded on
     long-lived sessions.
 
-    ``limit`` caps the bytes *held* at any moment: a feed that would grow
-    the retained storage past it raises a typed
-    :class:`~repro.core.errors.BudgetExceeded` before buffering anything.
     ``last_wait`` is maintained by the windows: the smallest absolute offset
     a suspended parse can still re-read, i.e. the safe release point while a
     message is incomplete.
     """
 
-    __slots__ = ("_buffer", "_base", "_eof", "limit", "last_wait")
+    __slots__ = ("_buffer", "_base", "_eof", "last_wait")
 
-    def __init__(self, data: bytes = b"", *, eof: bool = False,
-                 limit: int | None = None):
+    def __init__(self, data: bytes = b"", *, eof: bool = False):
         self._buffer = bytearray(data)
         self._base = 0
         self._eof = eof
-        self.limit = limit
         self.last_wait = 0
 
     @classmethod
@@ -119,11 +114,6 @@ class StreamSource:
     def feed(self, data: bytes) -> None:
         if self._eof:
             raise StreamError("cannot feed bytes after end-of-stream")
-        if self.limit is not None and len(self._buffer) + len(data) > self.limit:
-            raise BudgetExceeded(
-                "stream_bytes", limit=self.limit,
-                actual=len(self._buffer) + len(data),
-            )
         self._buffer += data
 
     def feed_eof(self) -> None:
@@ -394,8 +384,7 @@ class StreamingParser:
             return win, True
         if node.boundary.kind is _LENGTH:
             length = self._check_declared(
-                ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
-                node.name,
+                ctx.raw_values[node.boundary.ref], node.name,  # type: ignore[arg-type,index]
             )
             return win.subwindow(length), True
         return win, False
@@ -421,8 +410,7 @@ class StreamingParser:
                 return (yield from win.read_until(node.boundary.delimiter or b""))
             if kind is _LENGTH:
                 length = self._check_declared(
-                    ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
-                    node.name,
+                    ctx.raw_values[node.boundary.ref], node.name,  # type: ignore[arg-type,index]
                 )
                 return (yield from win.read(length))
             return (yield from win.read_rest())
@@ -447,17 +435,12 @@ class StreamingParser:
             return (yield from win.read(node.boundary.size or 0))
         if kind is _LENGTH:
             return (yield from win.read(self._check_declared(
-                ctx.ref_value(node.boundary.ref, node=node.name),  # type: ignore[arg-type]
-                node.name,
+                ctx.raw_values[node.boundary.ref], node.name,  # type: ignore[arg-type,index]
             )))
         if kind is _END:
             return (yield from win.read_rest())
-        size = self.plan.static_sizes.get(node.name)
-        if size is None:
-            raise ParseError(
-                "mirrored node has no parse-time determinable extent", node=node.name
-            )
-        return (yield from win.read(size))
+        # Validation gives every other mirrored node a static size.
+        return (yield from win.read(self.plan.static_sizes[node.name]))  # type: ignore[arg-type]
 
     # -- composites -----------------------------------------------------------
 
@@ -479,14 +462,7 @@ class StreamingParser:
                 yield from self._parse_node(child, win, ctx)
                 continue
             shares.append((yield from self._parse_split_child(child, win, ctx)))
-        if len(shares) != 2:
-            raise ParseError(
-                f"synthesis node {node.name!r} expected two value children, "
-                f"found {len(shares)}"
-            )
         combined = node.synthesis.combine(shares[0], shares[1])  # type: ignore[union-attr]
-        if node.origin is None:
-            raise ParseError(f"synthesis node {node.name!r} has no logical origin")
         self.plan.origin_set[node.name](ctx.data, ctx.index_stack, combined)
 
     def _parse_split_child(self, child: Node, win: StreamWindow, ctx: _ParseContext):
@@ -509,25 +485,17 @@ class StreamingParser:
 
     def _optional_present(self, node: Node, win: StreamWindow, ctx: _ParseContext):
         if node.presence_ref is not None:
-            if node.presence_ref not in ctx.raw_values:
-                raise ParseError(
-                    f"presence reference {node.presence_ref!r} has not been parsed yet",
-                    node=node.name,
-                )
             return ctx.raw_values[node.presence_ref] == node.presence_value
         at_end = yield from win.at_end()
         return not at_end
 
     def _parse_repetition(self, node: Node, win: StreamWindow, ctx: _ParseContext):
-        if node.origin is None:
-            raise ParseError(f"repeated node {node.name!r} has no logical origin")
         self.plan.list_init[node.name](ctx.data, ctx.index_stack)
         child = node.children[0]
         kind = node.boundary.kind
 
         if kind is _COUNTER:
-            count = ctx.ref_value(node.boundary.ref, node=node.name)  # type: ignore[arg-type]
-            for index in range(count):
+            for index in range(ctx.raw_values[node.boundary.ref]):  # type: ignore[arg-type,index]
                 ctx.index_stack.append(index)
                 try:
                     yield from self._parse_node(child, win, ctx)

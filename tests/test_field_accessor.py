@@ -44,7 +44,7 @@ class TestAccessor:
         assert accessor(FieldPath.parse("rows[*].cells[*].value")) is shared
         assert accessor(("rows", INDEX, "cells", INDEX, "value")) is shared
 
-    @pytest.mark.parametrize("text", ["a", "a.b", "a[*].b", "a[1].b", "a.b[*].c.d"])
+    @pytest.mark.parametrize("text", ["a", "a.b", "a.b.c", "a[*].b", "a[1].b", "a.b[*].c.d"])
     def test_every_shape_matches_resolve_then_message(self, text):
         walker = accessor(text)
         indices = [1, 0, 5]
@@ -90,6 +90,9 @@ class TestAccessor:
             accessor("a[0].b").set({"a": {}}, (), 2)
         with pytest.raises(MessageError, match=r"expected a dict at \('a', 'b'\)"):
             accessor("a.b.c").set({"a": {"b": []}}, (), 2)
+        with pytest.raises(MessageError, match=r"expected a dict at \('a',\)"):
+            accessor("a.b.c").set({"a": [1]}, (), 2)
+        assert accessor("a.b.c").get({"a": [1]}, ()) is None
 
     def test_root_cannot_be_assigned(self):
         with pytest.raises(MessageError, match="cannot assign the message root"):

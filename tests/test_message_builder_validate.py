@@ -405,7 +405,9 @@ class TestValidation:
         def graph(*children):
             region = sequence("region", list(children), boundary=Boundary.end())
             region.mirrored = True
-            return FormatGraph(sequence("root", [uint("x", 1), region]))
+            graph = FormatGraph(sequence("root", [uint("x", 1), region]))
+            assign_origins(graph)
+            return graph
 
         validate_graph(graph(uint("a", 1), remaining_bytes("rest")))
         message = "greedy node 'rest' is not in tail position of its window"
@@ -438,6 +440,91 @@ class TestValidation:
     def test_protocol_graphs_validate(self, protocol_case):
         _, graph_factory, _ = protocol_case
         validate_graph(graph_factory())
+
+    # -- the codec contract: rules every tier relies on instead of re-checking
+
+    @pytest.mark.parametrize("kind", ["repetition", "tabular"])
+    def test_repeated_node_requires_origin(self, kind):
+        element = uint("x", 1)
+        repeated = (repetition("items", element) if kind == "repetition"
+                    else tabular("items", element, counter="count"))
+        graph = build_graph(sequence("root", [uint("count", 1), repeated]), "demo")
+        repeated.origin = None
+        message = f"{kind} node 'items' must carry a logical origin"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph)
+
+    def test_value_terminal_requires_origin(self):
+        # Padding, length/counter fields and synthesis children carry none.
+        data = fixed_bytes("data", 2)
+        data.boundary = Boundary.length("len")
+        pad = Node("pad0", NodeType.TERMINAL, Boundary.fixed(1),
+                   value_kind=ValueKind.BYTES, is_pad=True)
+        graph = build_graph(sequence("root", [uint("len", 1), data, pad, uint("a", 1)]),
+                            "demo")
+        validate_graph(graph)
+        graph.root.children[-1].origin = None
+        message = ("terminal 'a' must carry a logical origin: it is no pad, "
+                   "length/counter field or synthesis child")
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph)
+
+    @staticmethod
+    def _split() -> Node:
+        """A SplitAdd node 'v_split' whose shares are 'v_share_1' and 'v_share_2'."""
+        return Node("v_split", NodeType.SEQUENCE, Boundary.delegated(),
+                    children=[uint("v_share_1", 1), uint("v_share_2", 1)],
+                    origin=FieldPath.parse("v"),
+                    synthesis=Synthesis(SynthesisOp.ADD, ValueKind.UINT, width=1))
+
+    def test_synthesis_share_cannot_count_a_tabular(self):
+        # The serializer writes 'v_share_1' as a share; a parser reading it
+        # as the tabular's counter finds one share where two belong.
+        rows = tabular("rows", uint("x", 1), counter="v_share_1")
+        graph = FormatGraph(sequence("root", [self._split(), rows]))
+        rows.origin = FieldPath.parse("rows")
+        rows.children[0].origin = FieldPath.parse("rows[*]")
+        message = ("synthesis child 'v_share_1' of 'v_split' may be referenced only "
+                   "by a sibling's length boundary, not by 'rows'")
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph)
+
+    def test_synthesis_child_may_measure_a_sibling(self):
+        # SplitCat of a variable-size terminal: a derived length prefix sits
+        # next to the share it measures.
+        share = Node("t_share_2", NodeType.TERMINAL, Boundary.length("t_len"),
+                     value_kind=ValueKind.TEXT)
+        split = Node("t_split", NodeType.SEQUENCE, Boundary.delegated(),
+                     children=[fixed_bytes("t_share_1", 2), uint("t_len", 1), share],
+                     origin=FieldPath.parse("t"),
+                     synthesis=Synthesis(SynthesisOp.CAT, ValueKind.TEXT))
+        validate_graph(FormatGraph(sequence("root", [split])))
+        data = fixed_bytes("data", 2)
+        data.boundary = Boundary.length("v_share_1")
+        data.origin = FieldPath.parse("data")
+        message = ("synthesis child 'v_share_1' of 'v_split' may be referenced only "
+                   "by a sibling's length boundary, not by 'data'")
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(sequence("root", [self._split(), data])))
+
+    def test_presence_terminal_requires_origin(self):
+        # The serializer reads the presence value at the terminal's origin,
+        # and a pad is never parsed into a value.
+        pad = Node("pad0", NodeType.TERMINAL, Boundary.fixed(1),
+                   value_kind=ValueKind.BYTES, is_pad=True)
+        extra = optional("extra", uint("value", 1), presence_ref="pad0",
+                         presence_value=b"\x01")
+        graph = build_graph(sequence("root", [pad, extra]), "demo", validate=False)
+        message = "presence reference 'pad0' of optional 'extra' must carry a logical origin"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph)
+
+    def test_contract_rules_run_after_every_other_rule(self):
+        # 'a' has no origin, but the greedy 'rest' before it is reported.
+        root = sequence("root", [remaining_bytes("rest"), uint("a", 1)])
+        message = "greedy node 'rest' is not in tail position of its window"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(root))
 
 
 def _mutate(graph: FormatGraph, rng: Random) -> FormatGraph:
@@ -490,16 +577,19 @@ class TestValidationCorpus:
     """Verdicts and messages of a seeded corpus, pinned by a digest.
 
     The corpus holds every registry direction obfuscated at levels 0-3 with
-    seeds 0-5, plus 40 seeded mutants of each.  The digest was recorded with
-    the multi-walk validator that preceded the one-walk rewrite; any change to
-    a verdict, a message or the rule order that picks the reported message
-    moves it.  Adding a protocol or changing a transformation moves it too,
-    and then it must be recorded again.
+    seeds 0-5, plus 40 seeded mutants of each.  Any change to a verdict, a
+    message or the rule order that picks the reported message moves the
+    digest.  It was recorded again when the codec-contract rules came in:
+    46 mutants that were valid before now report one of their messages (29
+    a terminal without origin, 14 a referenced synthesis child, 3 a presence
+    terminal without origin), and no other verdict or message changed.
+    Adding a protocol or changing a transformation moves it too, and then it
+    must be recorded again.
     """
 
-    DIGEST = "004a3928e40286eb73f5f5e40833a8cd1756ac40ee38c09440e529150395e0bb"
-    VALID = 1829
-    INVALID = 6043
+    DIGEST = "3a1709b82c7dc9dcb4d5e0a44cc94f7569ce00e4da11c528e75c5f2417bb9416"
+    VALID = 1783
+    INVALID = 6089
 
     def test_corpus_verdicts_match_recorded_digest(self):
         verdicts = []

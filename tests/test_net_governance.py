@@ -42,7 +42,7 @@ from repro.net.session import _MessagePump
 from repro.protocols import mqtt, registry
 from repro.wire import WireCodec
 from repro.wire.serializer import Serializer
-from repro.wire.streaming import StreamSource, StreamingDecoder
+from repro.wire.streaming import StreamingDecoder
 
 
 def run(coroutine):
@@ -114,7 +114,8 @@ class TestRecordDecoderBudgets:
     def test_declaration_alone_condemns_the_record(self):
         # The pre-allocation property: the forged 4-byte header is rejected
         # the moment it arrives — no payload byte is ever buffered toward it.
-        decoder = RecordDecoder(self.graph(), max_record_size=1024)
+        decoder = RecordDecoder(self.graph(),
+                                budget=ResourceBudget(max_declared_bytes=1024))
         with pytest.raises(BudgetExceeded) as err:
             decoder.feed((4096).to_bytes(4, "big"))
         assert err.value.resource == "record_bytes"
@@ -128,10 +129,11 @@ class TestRecordDecoderBudgets:
             decoder.feed((1 << 20).to_bytes(4, "big"))
 
     def test_record_limit_must_stay_below_the_control_sentinels(self):
-        with pytest.raises(StreamError):
-            RecordDecoder(self.graph(), max_record_size=BUSY_SENTINEL)
-        with pytest.raises(StreamError):
-            RecordDecoder(self.graph(), max_record_size=0)
+        with pytest.raises(StreamError, match="^max_declared_bytes must be in"):
+            RecordDecoder(self.graph(),
+                          budget=ResourceBudget(max_declared_bytes=BUSY_SENTINEL))
+        with pytest.raises(GovernanceError):
+            ResourceBudget(max_declared_bytes=0)
 
     def test_stream_bytes_cap_on_one_feed(self):
         decoder = RecordDecoder(self.graph(), budget=ResourceBudget.strict())
@@ -168,6 +170,9 @@ class TestStreamingDecoderBudgets:
         with pytest.raises(BudgetExceeded) as err:
             decoder.feed(b"\x00" * ((1 << 16) + 1))
         assert err.value.resource == "stream_bytes"
+        # Refused before buffering: the source holds none of the chunk.
+        assert decoder.buffered == 0
+        assert decoder._source.buffered_bytes() == 0
 
     def test_declared_bytes_cap_under_native_framing(self):
         # The MBAP length field declares 65535 payload bytes: the strict
@@ -200,13 +205,6 @@ class TestStreamingDecoderBudgets:
         assert err.value.actual == 9005
         assert err.value.node == "mqtt_body"
         assert err.value.message_index == 0
-
-    def test_source_limit_is_enforced_on_feed(self):
-        source = StreamSource(limit=8)
-        source.feed(b"12345678")
-        with pytest.raises(BudgetExceeded):
-            source.feed(b"9")
-        assert source.buffered_bytes() == 8
 
     def test_mid_message_trim_releases_consumed_prefix(self):
         # Satellite 1: while a message is suspended mid-parse, bytes the

@@ -42,15 +42,25 @@ from repro.codegen import (
     module_poll,
 )
 from repro.core.boundary import Boundary
-from repro.core.builder import build_graph, bytes_field, sequence, uint
-from repro.core.errors import CodegenError, GraphError, ParseError, SerializationError
+from repro.core.builder import (
+    build_graph,
+    bytes_field,
+    optional,
+    repetition,
+    sequence,
+    tabular,
+    uint,
+)
+from repro.core.errors import CodegenError, GraphError, ParseError
 from repro.core.node import Node, NodeType
-from repro.core.values import ValueKind, ValueOp, ValueOpKind
+from repro.core.values import Synthesis, SynthesisOp, ValueKind, ValueOp, ValueOpKind
 from repro.net import Capture, ObfuscatedClient, ObfuscatedServer
+from repro.net.framing import RecordDecoder
 from repro.protocols import registry
 from repro.transforms import Obfuscator
-from repro.wire import WireCodec
+from repro.wire import StreamingDecoder, WireCodec, compile_plan
 from repro.wire.parser import Parser
+from repro.wire.plan import plan_for
 from repro.wire.serializer import Serializer
 
 LEVELS = [0, 1, 2, 3, 4]
@@ -102,26 +112,57 @@ def mutated(message: dict, path: tuple, replacement) -> dict:
 
 
 def unworkable_graph(shape: str):
-    """``(graph, message, validator error)`` of a shape no tier can run.
+    """``(graph, validator error)`` of a shape no tier can run.
 
     The graph is built without validation: a bytewise op on a uint, a
-    zero-size uint, or a pad measured as a LENGTH field.
+    zero-size uint, a pad measured as a LENGTH field, a terminal or a
+    repetition without a logical origin, a synthesis share that also counts
+    a tabular, or an optional whose presence terminal is a pad.
     """
+    if shape == "share_counter":
+        # The serializer writes 'v_share_1' as a share; a parser reading it
+        # as the tabular's counter finds one share where two belong.
+        split = Node("v_split", NodeType.SEQUENCE, Boundary.delegated(),
+                     children=[uint("v_share_1", 1), uint("v_share_2", 1)],
+                     synthesis=Synthesis(SynthesisOp.ADD, ValueKind.UINT, width=1))
+        rows = tabular("rows", uint("x", 1), counter="v_share_1")
+        graph = build_graph(sequence("msg", [split, rows]), shape, validate=False)
+        split.children[1].origin = None  # shares carry no logical origin
+        return graph, ("synthesis child 'v_share_1' of 'v_split' may be referenced "
+                       "only by a sibling's length boundary, not by 'rows'")
+    if shape == "pad_presence":
+        pad = Node("pad0", NodeType.TERMINAL, Boundary.fixed(1),
+                   value_kind=ValueKind.BYTES, is_pad=True)
+        extra = optional("extra", uint("value", 1), presence_ref="pad0",
+                         presence_value=b"\x01")
+        return (build_graph(sequence("msg", [pad, extra]), shape, validate=False),
+                "presence reference 'pad0' of optional 'extra' must carry a logical origin")
+    if shape == "repetition_without_origin":
+        graph = build_graph(sequence("msg", [repetition("items", uint("item", 1))]),
+                            shape, validate=False)
+        graph.root.children[0].origin = None
+        return graph, "repetition node 'items' must carry a logical origin"
+    if shape == "terminal_without_origin":
+        graph = build_graph(sequence("msg", [uint("field", 2)]), shape, validate=False)
+        graph.root.children[0].origin = None
+        return graph, ("terminal 'field' must carry a logical origin: it is no pad, "
+                       "length/counter field or synthesis child")
     if shape == "pad_length":
         pad = Node("pad0", NodeType.TERMINAL, Boundary.fixed(2),
                    value_kind=ValueKind.UINT, is_pad=True)
         root = sequence("msg", [pad, bytes_field("body", Boundary.length("pad0"))])
-        return (build_graph(root, shape, validate=False), {"body": b"ab"},
+        return (build_graph(root, shape, validate=False),
                 "terminal 'pad0' is a length/counter field and cannot be padding")
     field = uint("field", 0 if shape == "sizeless_uint" else 2)
     error = "uint terminal 'field' requires a positive size"
     if shape == "bytewise_uint":
         field.codec_chain = (ValueOp(ValueOpKind.XOR, 0x5A, bytewise=True),)
         error = "bytewise value operation on uint terminal 'field'"
-    return build_graph(sequence("msg", [field]), shape, validate=False), {"field": 0}, error
+    return build_graph(sequence("msg", [field]), shape, validate=False), error
 
 
-UNWORKABLE = ("bytewise_uint", "sizeless_uint", "pad_length")
+UNWORKABLE = ("bytewise_uint", "sizeless_uint", "pad_length", "share_counter",
+              "pad_presence", "repetition_without_origin", "terminal_without_origin")
 
 
 def wait_for_module(graph, timeout: float = 60.0) -> types.ModuleType:
@@ -336,35 +377,31 @@ class TestErrorParity:
 
 
 class TestValidatedGraphsOnly:
-    """The emitter compiles valid graphs only.  Three shapes the validator
-    now rejects cannot run on the interpreted tier either."""
+    """Every tier compiles valid graphs only: each compile entry refuses a
+    shape the validator rejects with the validator's error, before it
+    produces a byte."""
 
     @pytest.mark.parametrize("shape", UNWORKABLE)
     def test_no_tier_runs_the_shape(self, shape):
-        graph, message, _ = unworkable_graph(shape)
-        serializer = Serializer(graph, rng=Random(0))
-        if shape == "pad_length":
-            # Random pad bytes stand where the length belongs: never parses.
-            with pytest.raises(ParseError, match="reference 'pad0' has not been parsed yet"):
-                Parser(graph).parse(serializer.serialize(message))
-            return
-        error = ("UINT terminals require a fixed size" if shape == "bytewise_uint"
-                 else "terminal 'field': uint size must be positive, got 0")
-        with pytest.raises(SerializationError, match=f"^{re.escape(error)}$"):
-            serializer.serialize(message)
+        graph, error = unworkable_graph(shape)
+        entries = (compile_plan, plan_for, Parser, Serializer, WireCodec,
+                   StreamingDecoder, RecordDecoder)
+        for entry in entries:
+            with pytest.raises(GraphError, match=f"^{re.escape(error)}$"):
+                entry(graph)
 
     @pytest.mark.parametrize("shape", UNWORKABLE)
     def test_emitter_raises_the_validator_error(self, shape):
-        graph, _, error = unworkable_graph(shape)
+        graph, error = unworkable_graph(shape)
         with pytest.raises(GraphError, match=f"^{re.escape(error)}$"):
             generate_specialized_module(graph)
 
     def test_length_of_a_pad_is_refused_before_serializing(self):
         # Refused when the module is emitted: a pad fills no length slot, so
         # an emitted serializer could only fail (with a NameError).
-        graph, message, error = unworkable_graph("pad_length")
+        graph, error = unworkable_graph("pad_length")
         with pytest.raises(GraphError, match=f"^{re.escape(error)}$"):
-            SpecializedCodec(graph, seed=0).serialize(message)
+            SpecializedCodec(graph, seed=0).serialize({"body": b"ab"})
 
 
 class TestCodecWrapper:
@@ -585,7 +622,7 @@ class TestTierSwitch:
     def test_invalid_graph_raises_before_submitting(self, shape, monkeypatch):
         submitted = []
         monkeypatch.setattr(cache, "_submit", lambda *args: submitted.append(args))
-        graph, _, error = unworkable_graph(shape)
+        graph, error = unworkable_graph(shape)
         with pytest.raises(GraphError, match=f"^{re.escape(error)}$"):
             SpecializedCodec.tiering(graph, module_poll(graph), seed=0)
         assert submitted == []
