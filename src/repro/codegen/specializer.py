@@ -18,15 +18,19 @@ resolved at emit time.
 * serialization appends into one shared ``bytearray``; derived length fields
   are emitted as zero placeholders and back-patched in place once their
   region has been measured (no :class:`~repro.wire.pieces.PieceList`),
-* field paths of the one-key, two-key and ``list[i].key`` shapes are walked
-  inline; deeper paths call the shared
-  :func:`repro.core.fieldpath.accessor` bound as module constants, so the
-  emitted module imports :mod:`repro.core.fieldpath`.
+* every field path is walked inline, with the shared accessors' exact
+  reads, writes and errors; each container a walk reaches stays in a local
+  variable for the rest of its block, so paths under one prefix share one
+  walk (see :meth:`_SpecEmitter.open_block`),
+* random draws call ``rng.getrandbits`` directly: pads through
+  :func:`repro.core.values.draw_pad`, split shares and cuts through an
+  inlined copy of :func:`~repro.core.values.draw_below`'s loop, which
+  draw what ``randrange``/``randint`` draw.
 
-The emitted module raises the runtime's own :mod:`repro.core.errors` classes
-with the interpreted tier's exact text (and, for
+The emitted module imports only :mod:`repro.core.errors`, whose classes it
+raises with the interpreted tier's exact text (and, for
 :class:`~repro.core.errors.ParseError`, offset and node), so no wrapper
-translates failures.
+translates failures, and, when the graph has pads, ``draw_pad``.
 
 Only valid graphs are compiled: :func:`generate_specialized_module` runs
 :func:`repro.core.validate.validate_graph` first.  So every uint is a
@@ -123,8 +127,10 @@ class _SpecEmitter:
         self._tables: dict[bytes, str] = {}
         self._zeros: set[int] = set()
         self._resolvers: dict[tuple, int] = {}
-        self._accessors: dict[FieldPath, str] = {}
         self._needs: set[str] = set()
+        # -- remembered walk prefixes (see open_block) -------------------------
+        self._memo: dict[tuple, tuple[str, str | None]] = {}
+        self._blocks: list[list[tuple]] = [[]]
 
     # -- writer ---------------------------------------------------------------
 
@@ -159,16 +165,6 @@ class _SpecEmitter:
     def zero_const(self, width: int) -> str:
         self._zeros.add(width)
         return f"_Z{width}"
-
-    def accessor_call(self, path: FieldPath, loops: list[str]) -> tuple[str, str]:
-        """Module constant holding the shared accessor of ``path``, plus the
-        source of the loop indices that bind its INDEX markers."""
-        name = self._accessors.get(path)
-        if name is None:
-            name = f"_A{len(self._accessors)}"
-            self._accessors[path] = name
-        bound = loops[:path.index_arity()]
-        return name, f"({bound[0]},)" if len(bound) == 1 else f"({', '.join(bound)})"
 
     def resolver_id(self, width: int, endian: str, chain: tuple[ValueOp, ...]) -> int:
         key = (width, endian, chain)
@@ -225,78 +221,177 @@ class _SpecEmitter:
             return f"({literal} % ({', '.join(args)},))"
         return literal
 
-    # -- message accessors (inline fast shapes + shared accessor) -------------
+    # -- inline field-path walks ----------------------------------------------
+    #
+    # Every container a walk reaches stays in a local variable, remembered
+    # under its bound prefix for the rest of the current block and the blocks
+    # nested in it (an optional's ``if`` and a repetition's loop body open
+    # blocks), so later paths under the same prefix start from it.  That is
+    # sound: ``serialize`` never writes to the caller's message, and ``parse``
+    # only adds to the containers it built, because validation refuses a
+    # value whose origin is a strict prefix of another node's origin.
 
-    def emit_get(self, dst: str, path: FieldPath, loops: list[str],
-                 src: str = "message") -> None:
-        """Emit statements assigning ``dst`` the value at ``path`` (or None)."""
-        bound = self.bind_steps(path, loops)
-        kinds = "".join(kind for kind, _ in bound)
-        if kinds == "k":
-            self.w(f"{dst} = {src}.get({bound[0][1]})")
-            return
-        if kinds == "kk":
-            c = self.var("c")
-            self.w(f"{c} = {src}.get({bound[0][1]})")
-            self.w(f"{dst} = {c}.get({bound[1][1]}) if isinstance({c}, dict) else None")
-            return
-        if kinds == "kik":
-            c, d = self.var("c"), self.var("c")
-            iv = bound[1][1]
-            self.w(f"{c} = {src}.get({bound[0][1]})")
-            self.w(f"if isinstance({c}, list) and {iv} < len({c}):")
-            self.w(f"    {d} = {c}[{iv}]")
-            self.w(f"    {dst} = {d}.get({bound[2][1]}) if isinstance({d}, dict) else None")
-            self.w("else:")
-            self.w(f"    {dst} = None")
-            return
-        name, indices = self.accessor_call(path, loops)
-        self.w(f"{dst} = {name}.get({src}, {indices})")
+    def open_block(self) -> None:
+        self._blocks.append([])
 
-    def emit_set(self, path: FieldPath, loops: list[str], value: str,
-                 dst: str = "msg") -> None:
-        """Emit statements storing ``value`` at ``path`` inside ``dst``."""
-        bound = self.bind_steps(path, loops)
-        kinds = "".join(kind for kind, _ in bound)
-        if kinds == "k":
-            self.w(f"{dst}[{bound[0][1]}] = {value}")
-            return
-        if kinds == "kk":
-            c = self.var("c")
-            self.w(f"{c} = {dst}.get({bound[0][1]})")
-            self.w(f"if not isinstance({c}, dict):")
-            self.w(f"    {c} = {{}}")
-            self.w(f"    {dst}[{bound[0][1]}] = {c}")
-            self.w(f"{c}[{bound[1][1]}] = {value}")
-            return
-        if kinds == "kik":
-            c, d = self.var("c"), self.var("c")
-            iv = bound[1][1]
-            self.w(f"{c} = {dst}.get({bound[0][1]})")
-            self.w(f"if not isinstance({c}, list):")
-            self.w(f"    {c} = []")
-            self.w(f"    {dst}[{bound[0][1]}] = {c}")
-            self.w(f"while len({c}) <= {iv}:")
-            self.w(f"    {c}.append(None)")
-            self.w(f"{d} = {c}[{iv}]")
-            self.w(f"if not isinstance({d}, dict):")
-            self.w(f"    {d} = {{}}")
-            self.w(f"    {c}[{iv}] = {d}")
-            self.w(f"{d}[{bound[2][1]}] = {value}")
-            return
-        name, indices = self.accessor_call(path, loops)
-        self.w(f"{name}.set({dst}, {indices}, {value})")
+    def close_block(self) -> None:
+        for key, previous in reversed(self._blocks.pop()):
+            if previous is None:
+                del self._memo[key]
+            else:
+                self._memo[key] = previous
 
-    def emit_list_init(self, path: FieldPath, loops: list[str],
-                       dst: str = "msg") -> None:
+    def remember(self, key: tuple, entry: tuple[str, str | None]) -> None:
+        """Remember ``entry`` under the bound prefix ``key`` in this block.
+
+        Serialize entries are ``(variable, "value")`` for the value at the
+        prefix (or None) and ``(expression, "element")`` for the element of a
+        list being iterated; parse entries are ``(variable, kind)`` for a
+        container whose type is ``kind`` (``"dict"``, ``"list"`` or None when
+        it is not known).
+        """
+        self._blocks[-1].append((key, self._memo.get(key)))
+        self._memo[key] = entry
+
+    def recall(self, bound: list[tuple[str, str]], longest: int
+               ) -> tuple[int, tuple[str, str | None] | None]:
+        """The longest remembered prefix of ``bound`` of at most ``longest``
+        steps: its length and entry, or ``(0, None)``."""
+        for size in range(longest, 0, -1):
+            entry = self._memo.get(tuple(bound[:size]))
+            if entry is not None:
+                return size, entry
+        return 0, None
+
+    def emit_get(self, dst: str, path: FieldPath, loops: list[str]) -> tuple:
+        """Emit statements assigning ``dst`` the value at ``path`` (or None),
+        as :meth:`Accessor.get <repro.core.fieldpath.Accessor>` reads it.
+        Returns the bound path, the key a caller remembers ``dst`` under."""
         bound = self.bind_steps(path, loops)
-        if len(bound) == 1 and bound[0][0] == "k":
-            key = bound[0][1]
-            self.w(f"if {key} not in {dst}:")
-            self.w(f"    {dst}[{key}] = []")
+        size, entry = self.recall(bound, len(bound))
+        if entry is not None and entry[1] == "element" and size == len(bound):
+            self.w(f"{dst} = {entry[0]}")
+            return tuple(bound)
+        src = "message"
+        if entry is not None:
+            src = entry[0]
+            if entry[1] == "element":
+                # The element of the list being iterated: always in range.
+                src = self.var("c")
+                self.w(f"{src} = {entry[0]}")
+                self.remember(tuple(bound[:size]), (src, "value"))
+        if size == len(bound):
+            self.w(f"{dst} = {src}")
+            return tuple(bound)
+        for position in range(size, len(bound)):
+            target = dst if position == len(bound) - 1 else self.var("c")
+            kind, token = bound[position]
+            if kind == "k":
+                if src == "message":
+                    expr = f"message.get({token})"
+                else:
+                    expr = f"{src}.get({token}) if isinstance({src}, dict) else None"
+            elif token.startswith("-"):
+                expr = "None"
+            else:
+                expr = (f"{src}[{token}] if isinstance({src}, list) "
+                        f"and {token} < len({src}) else None")
+            self.w(f"{target} = {expr}")
+            if position < len(bound) - 1:
+                self.remember(tuple(bound[:position + 1]), (target, "value"))
+            src = target
+        return tuple(bound)
+
+    def _mismatch(self, bound: list[tuple[str, str]], position: int,
+                  kind: str) -> None:
+        """Emit the raise of :func:`repro.core.fieldpath._mismatch`."""
+        tokens = [token for _, token in bound[:position]]
+        prefix = f"({tokens[0]},)" if len(tokens) == 1 else f"({', '.join(tokens)})"
+        template = f"expected a {kind} at %r"
+        self.w(f"raise MessageError({template!r} % ({prefix},))")
+
+    def _require(self, container: str, known: str | None,
+                 bound: list[tuple[str, str]], position: int) -> None:
+        """Emit the type check of ``container`` before step ``position``
+        (skipped when its type is known) and remember the checked type."""
+        need = "dict" if bound[position][0] == "k" else "list"
+        if known == need:
             return
-        name, indices = self.accessor_call(path, loops)
-        self.w(f"{name}.init_list({dst}, {indices})")
+        self.w(f"if not isinstance({container}, {need}):")
+        self.ind += 1
+        self._mismatch(bound, position, need)
+        self.ind -= 1
+        if position:
+            self.remember(tuple(bound[:position]), (container, need))
+
+    def _descend(self, bound: list[tuple[str, str]]) -> tuple[str, str | None]:
+        """Emit the creating walk of :meth:`Accessor.set
+        <repro.core.fieldpath.Accessor>` down to the container of the last
+        step; return its variable and known type."""
+        size, entry = self.recall(bound, len(bound) - 1)
+        container, known = entry if entry is not None else ("msg", "dict")
+        for position in range(size, len(bound) - 1):
+            self._require(container, known, bound, position)
+            kind, token = bound[position]
+            child = self.var("c")
+            if kind == "k":
+                self.w(f"{child} = {container}.get({token})")
+            else:
+                self.w(f"while len({container}) <= {token}:")
+                self.w(f"    {container}.append(None)")
+                self.w(f"{child} = {container}[{token}]")
+            need, other = (("dict", "list") if bound[position + 1][0] == "k"
+                           else ("list", "dict"))
+            self.w(f"if not isinstance({child}, {need}):")
+            self.ind += 1
+            self.w(f"if isinstance({child}, {other}):")
+            self.ind += 1
+            self._mismatch(bound, position + 1, need)
+            self.ind -= 1
+            self.w(f"{child} = {{}}" if need == "dict" else f"{child} = []")
+            self.w(f"{container}[{token}] = {child}")
+            self.ind -= 1
+            self.remember(tuple(bound[:position + 1]), (child, need))
+            container, known = child, need
+        return container, known
+
+    def emit_set(self, path: FieldPath, loops: list[str], value: str) -> None:
+        """Emit statements storing ``value`` at ``path`` inside ``msg``."""
+        bound = self.bind_steps(path, loops)
+        if not bound:
+            self.w("raise MessageError('cannot assign the message root; "
+                   "use from_dict instead')")
+            return
+        container, known = self._descend(bound)
+        self._require(container, known, bound, len(bound) - 1)
+        kind, token = bound[-1]
+        if kind == "i":
+            self.w(f"while len({container}) <= {token}:")
+            self.w(f"    {container}.append(None)")
+        self.w(f"{container}[{token}] = {value}")
+
+    def emit_list_init(self, path: FieldPath, loops: list[str]) -> None:
+        """Emit ``init_list``: store ``[]`` at ``path`` unless a value is
+        there, and remember the value at ``path``."""
+        bound = self.bind_steps(path, loops)
+        if not bound or self.recall(bound, len(bound))[0] == len(bound):
+            return  # a remembered container is present
+        container, known = self._descend(bound)
+        self._require(container, known, bound, len(bound) - 1)
+        kind, token = bound[-1]
+        value = self.var("c")
+        if kind == "k":
+            self.w(f"{value} = {container}.setdefault({token}, [])")
+        else:
+            if token.startswith("-"):
+                self.w(f"{container}[{token}] = []")
+            else:
+                self.w(f"if {token} >= len({container}):")
+                self.w(f"    while len({container}) < {token}:")
+                self.w(f"        {container}.append(None)")
+                self.w(f"    {container}.append([])")
+            self.w(f"{value} = {container}[{token}]")
+        self.remember(tuple(bound), (value, None))
 
     # ======================================================================
     # parse emission
@@ -644,7 +739,9 @@ class _SpecEmitter:
         else:
             self.w(f"if {st.off} < {st.end}:")
         self.ind += 1
+        self.open_block()
         self._p_node(node.children[0], st)
+        self.close_block()
         self.ind -= 1
 
     # -- repetitions -------------------------------------------------------------
@@ -656,34 +753,27 @@ class _SpecEmitter:
         loop = f"i{len(self._ploops)}"
         if kind is BoundaryKind.COUNTER:
             self.w(f"for {loop} in range({self.vvar(node.boundary.ref)}):")
-            self.ind += 1
-            self._ploops.append(loop)
-            self._p_node(child, st)
-            self._ploops.pop()
-            self.ind -= 1
         elif kind is BoundaryKind.DELIMITED:
             term = node.boundary.delimiter or b""
             self.w(f"{loop} = 0")
             self.w(f"while {st.off} < {st.end} and not "
                    f"{st.buf}.startswith({term!r}, {st.off}, {st.end}):")
-            self.ind += 1
-            self._ploops.append(loop)
-            self._p_node(child, st)
-            self.w(f"{loop} += 1")
-            self._ploops.pop()
-            self.ind -= 1
-            self.w(f"if {st.buf}.startswith({term!r}, {st.off}, {st.end}):")
-            self.w(f"    {st.off} += {len(term)}")
         else:
             # LENGTH / END / prebounded: consume the (bounded) window.
             self.w(f"{loop} = 0")
             self.w(f"while {st.off} < {st.end}:")
-            self.ind += 1
-            self._ploops.append(loop)
-            self._p_node(child, st)
+        self.ind += 1
+        self.open_block()
+        self._ploops.append(loop)
+        self._p_node(child, st)
+        if kind is not BoundaryKind.COUNTER:
             self.w(f"{loop} += 1")
-            self._ploops.pop()
-            self.ind -= 1
+        self._ploops.pop()
+        self.close_block()
+        self.ind -= 1
+        if kind is BoundaryKind.DELIMITED:
+            self.w(f"if {st.buf}.startswith({term!r}, {st.off}, {st.end}):")
+            self.w(f"    {st.off} += {len(term)}")
 
     # ======================================================================
     # serialize emission
@@ -739,8 +829,9 @@ class _SpecEmitter:
 
     def _s_terminal(self, node: Node, value_override: str | None = None) -> None:
         if node.is_pad:
-            size = node.boundary.size or 0
-            self.w(f"out += bytes(rng.randrange(256) for _ in range({size}))")
+            self._needs.add("draw")
+            self._needs.add("pad")
+            self.w(f"out += _draw_pad(_gb, {node.boundary.size or 0})")
             return
         if value_override is None:
             if node.name in self.length_sources:
@@ -920,7 +1011,11 @@ class _SpecEmitter:
             self.w(f"{d} = {x} if isinstance({x}, (bytes, str)) else bytes({x})")
             cut = self.var("x")
             if node.split_at is None:
-                self.w(f"{cut} = rng.randint(0, len({d}))")
+                # randint(0, len) draws below len + 1.
+                n, bits = self.var("n"), self.var("k")
+                self.w(f"{n} = len({d}) + 1")
+                self.w(f"{bits} = {n}.bit_length()")
+                self._emit_draw(cut, n, bits)
             else:
                 self.w(f"{cut} = max(0, min({node.split_at}, len({d})))")
             self.w(f"{s1} = {d}[:{cut}]")
@@ -931,7 +1026,7 @@ class _SpecEmitter:
             modulus = 1 << (8 * synthesis.width)
             logical = self.var("x")
             self.w(f"{logical} = int({x}) % {modulus}")
-            self.w(f"{s1} = rng.randrange({modulus})")
+            self._emit_draw(s1, str(modulus), str(modulus.bit_length()))
             if synthesis.op is SynthesisOp.ADD:
                 self.w(f"{s2} = ({logical} - {s1}) % {modulus}")
             elif synthesis.op is SynthesisOp.SUB:
@@ -945,6 +1040,14 @@ class _SpecEmitter:
                 continue
             share = shares.pop(0)
             self._s_split_child(child, share)
+
+    def _emit_draw(self, dst: str, n: str, bits: str) -> None:
+        """Inline :func:`repro.core.values.draw_below`: ``rng.randrange(n)``,
+        where ``bits`` is ``n.bit_length()``."""
+        self._needs.add("draw")
+        self.w(f"{dst} = _gb({bits})")
+        self.w(f"while {dst} >= {n}:")
+        self.w(f"    {dst} = _gb({bits})")
 
     def _s_split_child(self, child: Node, share: str) -> None:
         measured = child.name in self.length_targets
@@ -963,24 +1066,28 @@ class _SpecEmitter:
 
     def _s_optional(self, node: Node) -> None:
         if node.presence_ref is not None:
-            x = self.var("x")
-            self.emit_get(x, self.node_map[node.presence_ref].origin, self._sloops)
-            self.w(f"if {x} == {node.presence_value!r}:")
+            path = self.node_map[node.presence_ref].origin
+            test = f"== {node.presence_value!r}"
         elif node.origin is None:
             return
         else:
-            x = self.var("x")
-            self.emit_get(x, node.origin, self._sloops)
-            self.w(f"if {x} is not None:")
+            path, test = node.origin, "is not None"
+        x = self.var("x")
+        key = self.emit_get(x, path, self._sloops)
+        self.w(f"if {x} {test}:")
+        self.remember(key, (x, "value"))
         self.ind += 1
+        self.open_block()
         self._s_node(node.children[0])
+        self.close_block()
         self.ind -= 1
 
     # -- repetitions ---------------------------------------------------------------
 
     def _s_repetition(self, node: Node) -> None:
         x = self.var("x")
-        self.emit_get(x, node.origin, self._sloops)
+        key = self.emit_get(x, node.origin, self._sloops)
+        self.remember(key, (x, "value"))
         path = self.path_display(node.origin, self._sloops)
         n = self.var("n")
         self.w(f"if {x} is None:")
@@ -993,9 +1100,13 @@ class _SpecEmitter:
         loop = f"i{len(self._sloops)}"
         self.w(f"for {loop} in range({n}):")
         self.ind += 1
+        self.open_block()
+        # Inside the loop the value is a list and the index is in range.
+        self.remember(key + (("i", loop),), (f"{x}[{loop}]", "element"))
         self._sloops.append(loop)
         self._s_node(node.children[0])
         self._sloops.pop()
+        self.close_block()
         self.ind -= 1
         if (node.type is NodeType.REPETITION
                 and node.boundary.kind is BoundaryKind.DELIMITED):
@@ -1035,6 +1146,7 @@ class _SpecEmitter:
     def _emit_parse_body(self) -> list[str]:
         self.cur = []
         self.ind = 1
+        self._memo, self._blocks = {}, [[]]
         mv = None
         if any(node.mirrored for node in self.nodes):
             mv = "mv"
@@ -1062,6 +1174,7 @@ class _SpecEmitter:
     def _emit_serialize_body(self) -> list[str]:
         self.cur = []
         self.ind = 1
+        self._memo, self._blocks = {}, [[]]
         self._s_node(self.graph.root)
         body = self.cur
         has_slots = "slots" in self._needs
@@ -1071,6 +1184,8 @@ class _SpecEmitter:
                    'wire bytes."""')
         out.append("    if rng is None:")
         out.append("        rng = _random.Random(0)")
+        if "draw" in self._needs:
+            out.append("    _gb = rng.getrandbits")
         out.append("    out = bytearray()")
         if has_slots or "mirror" in self._needs:
             out.append("    pend = []")
@@ -1096,9 +1211,8 @@ class _SpecEmitter:
         chunks.append("")
         chunks.append("from repro.core.errors import MessageError, ParseError, "
                       "SerializationError")
-        if self._accessors:
-            chunks.append("from repro.core.fieldpath import INDEX as _INDEX")
-            chunks.append("from repro.core.fieldpath import accessor as _accessor")
+        if "pad" in needs:
+            chunks.append("from repro.core.values import draw_pad as _draw_pad")
         if "eof" in needs or "runfail" in needs:
             chunks.append("""
 
@@ -1167,10 +1281,6 @@ def _mirror(out, mark, pend):
             lines.append(f"{name} = {table!r}")
         for width in sorted(self._zeros):
             lines.append(f"_Z{width} = bytes({width})")
-        for path, name in self._accessors.items():
-            tokens = ["_INDEX" if step is INDEX else repr(step) for step in path]
-            steps = f"({tokens[0]},)" if len(tokens) == 1 else f"({', '.join(tokens)})"
-            lines.append(f"{name} = _accessor({steps})")
         if resolvers:
             lines.append("")
             lines.append("# Length-slot resolvers: chain applied, value reduced")

@@ -19,10 +19,11 @@ Examples
 
 ``FieldPath.parse("registers[2]")`` → ``('registers', 2)``
 
-Every walk of a path through a message's nested dicts and lists goes through
-one compiled :class:`Accessor` per path (:func:`accessor`): ``Message``'s
-field access, the codec plans' origin accessors and the deep-path fallbacks
-of the specialized modules all share it.
+Outside the emitted code, every walk of a path through a message's nested
+dicts and lists goes through one compiled :class:`Accessor` per path
+(:func:`accessor`): ``Message``'s field access and the codec plans' origin
+accessors share it.  The specialized modules walk their paths inline, with
+the same reads, writes and errors.
 """
 
 from __future__ import annotations

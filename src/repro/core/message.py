@@ -10,6 +10,12 @@ transformation: the same message serializes to different byte strings under
 different obfuscated graphs, and parsing any of those byte strings yields the
 same message back.  This is the "stable accessor interface" requirement of the
 paper (Section VI).
+
+Applications name fields by path text.  A text that resolved to a concrete
+path before is found again in one dict probe; any other path (a
+:class:`FieldPath`, a new text, a text that fails to parse or holds an
+unbound index) takes the full route and raises the same
+:class:`MessageError` on every call.
 """
 
 from __future__ import annotations
@@ -18,16 +24,25 @@ import copy as _copy
 from typing import Any, Iterator
 
 from .errors import MessageError
-from .fieldpath import Accessor, FieldPath, accessor
+from .fieldpath import Accessor, FieldPath, _remember, accessor
 
 _ABSENT = object()
 
+#: Concrete accessors keyed by path text, bounded like the field-path caches.
+_BY_TEXT: "dict[str, Accessor]" = {}
+
 
 def _concrete(path: FieldPath | str) -> Accessor:
-    """The shared accessor of ``path``, which must hold no unbound index."""
+    """The shared accessor of ``path``, which must hold no unbound index.
+
+    Callers probe :data:`_BY_TEXT` themselves first (one dict lookup, no
+    call); this is the route of a miss.
+    """
     found = accessor(path)
     if not found.path.is_concrete:
         raise MessageError(f"path {found.path} still contains unbound indices")
+    if type(path) is str:
+        _remember(_BY_TEXT, path, found)
     return found
 
 
@@ -63,19 +78,23 @@ class Message:
 
     def get(self, path: FieldPath | str, default: Any = None) -> Any:
         """Value stored at ``path`` or ``default`` when absent."""
-        return _concrete(path).get(self._data, (), default)
+        found = _BY_TEXT.get(path) if type(path) is str else None
+        return (found or _concrete(path)).get(self._data, (), default)
 
     def has(self, path: FieldPath | str) -> bool:
         """True when a value (possibly ``None``) exists at ``path``."""
-        return _concrete(path).get(self._data, (), _ABSENT) is not _ABSENT
+        found = _BY_TEXT.get(path) if type(path) is str else None
+        return (found or _concrete(path)).get(self._data, (), _ABSENT) is not _ABSENT
 
     def set(self, path: FieldPath | str, value: Any) -> None:
         """Store ``value`` at ``path``, creating intermediate containers as needed."""
-        _concrete(path).set(self._data, (), value)
+        found = _BY_TEXT.get(path) if type(path) is str else None
+        (found or _concrete(path)).set(self._data, (), value)
 
     def delete(self, path: FieldPath | str) -> None:
         """Remove the value at ``path`` (no-op when absent)."""
-        resolved = _concrete(path).path
+        found = _BY_TEXT.get(path) if type(path) is str else None
+        resolved = (found or _concrete(path)).path
         if not resolved:
             raise MessageError("cannot delete the message root")
         parent = accessor(resolved.parent()).get(self._data, ())
@@ -87,7 +106,8 @@ class Message:
 
     def list_length(self, path: FieldPath | str) -> int:
         """Number of elements of the list stored at ``path`` (0 when absent)."""
-        found = _concrete(path)
+        found = _BY_TEXT.get(path) if type(path) is str else None
+        found = found or _concrete(path)
         value = found.get(self._data, ())
         if value is None:
             return 0

@@ -315,9 +315,22 @@ def _check_codec_contract(nodes: list[Node], position: dict[str, int],
     * An optional's presence reference names a terminal that carries a
       logical origin: the serializer reads the presence value there, the
       parser on the wire.
+    * A synthesis node has no pad child: the serializer would hand the pad
+      a share, and the parser finds no value in it.
+    * No terminal or synthesis origin is a strict prefix of another node's
+      origin (INDEX steps compare equal): the parser would store a value
+      where another path needs a container, and the message it returns
+      could not be serialized again.
+
+    The last two run after the others, so a graph breaking an older rule
+    keeps reporting it.
     """
+    origins = set()  # step tuples of every origin
+    values = []  # step tuples of terminal and synthesis origins
+    syntheses = []
     for node in nodes:
-        if node.origin is None:
+        origin = node.origin
+        if origin is None:
             if node.type is _REPETITION or node.type is _TABULAR:
                 raise GraphError(
                     f"{node.type.value} node {node.name!r} must carry a logical origin"
@@ -329,6 +342,14 @@ def _check_codec_contract(nodes: list[Node], position: dict[str, int],
                     f"terminal {node.name!r} must carry a logical origin: it is no "
                     f"pad, length/counter field or synthesis child"
                 )
+        else:
+            steps = origin.steps
+            origins.add(steps)
+            if node.type is _TERMINAL:
+                values.append(steps)
+            elif node.synthesis is not None:
+                values.append(steps)
+                syntheses.append(node)
         ref = node.boundary.ref
         if ref is not None:
             # A reference target precedes the node, so it is never the root.
@@ -346,3 +367,36 @@ def _check_codec_contract(nodes: list[Node], position: dict[str, int],
                 f"presence reference {presence!r} of optional {node.name!r} must "
                 f"carry a logical origin"
             )
+    for node in syntheses:
+        for child in node.children:
+            if child.is_pad:
+                raise GraphError(
+                    f"synthesis node {node.name!r} cannot have the pad child "
+                    f"{child.name!r}"
+                )
+    # Every strict prefix of an origin.  A prefix already present has its
+    # own prefixes present too, so each walk up stops there.
+    prefixes = set()
+    for steps in origins:
+        while len(steps) > 1:
+            steps = steps[:-1]
+            if steps in prefixes:
+                break
+            prefixes.add(steps)
+    if not prefixes.isdisjoint(values):
+        _raise_prefix_origin(nodes, prefixes)
+
+
+def _raise_prefix_origin(nodes: list[Node], prefixes: set) -> None:
+    """Name the first value whose origin is in ``prefixes`` and the first
+    node whose origin extends it."""
+    value = next(node for node in nodes if node.origin is not None
+                 and (node.type is _TERMINAL or node.synthesis is not None)
+                 and node.origin.steps in prefixes)
+    below = next(node for node in nodes if node.origin is not None
+                 and len(node.origin) > len(value.origin)
+                 and node.origin.startswith(value.origin))
+    raise GraphError(
+        f"origin {value.origin} of {value.name!r} is a strict prefix of "
+        f"the origin {below.origin} of {below.name!r}"
+    )

@@ -11,9 +11,10 @@ Terminal nodes of a message format graph carry values of one of three kinds:
 Aggregation transformations of the paper (ConstAdd, ConstSub, ConstXor and the
 value-combination half of SplitAdd/SplitSub/SplitXor/SplitCat) operate on
 these values.  :class:`ValueOp` is the invertible per-value operation attached
-to a terminal's *codec chain*, and :func:`combine_split` /
-:func:`choose_split` implement the two-way value synthesis used by the Split*
-transformations.
+to a terminal's *codec chain*, and :class:`Synthesis` implements the two-way
+value synthesis used by the Split* transformations.  :func:`draw_below` and
+:func:`draw_pad` are the random draws every codec tier makes while
+serializing.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from random import Random
-from typing import Union
+from typing import Callable, Union
 
 from .errors import SerializationError
 
@@ -219,6 +220,42 @@ def invert_chain(value: Value, value_kind: ValueKind, chain: tuple[ValueOp, ...]
 
 
 # ---------------------------------------------------------------------------
+# random draws
+# ---------------------------------------------------------------------------
+#
+# On CPython, ``Random.randrange(n)`` with one positive argument and
+# ``Random.randint(0, n - 1)`` both return ``_randbelow_with_getrandbits(n)``:
+# draw ``getrandbits(n.bit_length())`` and draw again while the result is
+# ``>= n``.  The helpers below make exactly those calls on the generator's
+# bound ``getrandbits``, so they return the same values and leave the
+# generator in the same state, without randrange's argument handling.  The
+# interpreted serializer and :meth:`Synthesis.split` draw through them, and
+# the specialized modules call :func:`draw_pad` and inline
+# :func:`draw_below`'s loop, so every tier still draws identical values.
+
+
+def draw_below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random.randrange(n)`` for ``n > 0``, drawn through ``getrandbits``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def draw_pad(getrandbits: Callable[[int], int], size: int) -> bytes:
+    """``bytes(rng.randrange(256) for _ in range(size))``, drawn through
+    ``getrandbits``."""
+    out = []
+    for _ in range(size):
+        r = getrandbits(9)
+        while r > 255:
+            r = getrandbits(9)
+        out.append(r)
+    return bytes(out)
+
+
+# ---------------------------------------------------------------------------
 # Split* value synthesis
 # ---------------------------------------------------------------------------
 
@@ -283,14 +320,14 @@ class Synthesis:
         if self.op is _SYN_CAT:
             data = value if isinstance(value, (bytes, str)) else bytes(value)
             if split_at is None:
-                split_at = rng.randint(0, len(data))
+                split_at = draw_below(rng.getrandbits, len(data) + 1)
             split_at = max(0, min(split_at, len(data)))
             return data[:split_at], data[split_at:]
         if self.width is None:
             raise SerializationError("integer synthesis requires a width")
         modulus = 1 << (8 * self.width)
         logical = int(value) % modulus
-        share = rng.randrange(modulus)
+        share = draw_below(rng.getrandbits, modulus)
         if self.op is _SYN_ADD:
             return share, (logical - share) % modulus
         if self.op is _SYN_SUB:

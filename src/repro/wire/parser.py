@@ -212,8 +212,6 @@ class Parser:
             value = self._parse_terminal(child, Window(region[::-1]), ctx, prebounded=True)
         else:
             value = self._parse_terminal(child, win, ctx)
-        if value is None:  # pragma: no cover - split children are never pads
-            raise ParseError(f"split child {child.name!r} produced no value")
         ctx.raw_values[child.name] = value
         return value
 

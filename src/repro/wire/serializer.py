@@ -33,6 +33,7 @@ from ..core.fieldpath import FieldPath
 from ..core.graph import FormatGraph
 from ..core.message import Message
 from ..core.node import Node, NodeType
+from ..core.values import draw_pad
 from .pieces import LengthSlot, PieceList
 from .plan import CodecPlan, plan_for
 from .spans import FieldSpan
@@ -168,8 +169,7 @@ class Serializer:
                             value_override: object = None) -> None:
         if node.is_pad:
             size = node.boundary.size or 0
-            out.add_bytes(bytes(ctx.rng.randrange(256) for _ in range(size)),
-                          node=node.name, origin=None)
+            out.add_bytes(draw_pad(ctx.rng.getrandbits, size), node=node.name, origin=None)
             return
         if value_override is None:
             derived = ctx.plan.derived_fields.get(node.name)

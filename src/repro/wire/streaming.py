@@ -472,8 +472,6 @@ class StreamingParser:
             value = yield from self._parse_terminal(child, inner, ctx, prebounded=True)
         else:
             value = yield from self._parse_terminal(child, win, ctx)
-        if value is None:  # pragma: no cover - split children are never pads
-            raise ParseError(f"split child {child.name!r} produced no value")
         ctx.raw_values[child.name] = value
         return value
 

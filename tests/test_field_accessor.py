@@ -1,8 +1,8 @@
 """The shared field-path walker: memoized parses and compiled accessors.
 
 One :class:`~repro.core.fieldpath.Accessor` per logical path serves
-``Message`` field access, the codec plans' origin accessors and the deep-path
-fallbacks of the specialized modules.
+``Message`` field access and the codec plans' origin accessors; the
+specialized modules walk their paths inline instead.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import pytest
 from repro.codegen import generate_specialized_module
 from repro.core import INDEX, FieldPath, Message, MessageError
 from repro.core import fieldpath
+from repro.core import message as message_module
 from repro.core.fieldpath import accessor
 from repro.protocols import registry
+from repro.transforms import Obfuscator
 from repro.wire.plan import compile_plan
 
 
@@ -110,12 +112,65 @@ class TestSharing:
                 assert plan.origin_set[node.name] is walker.set
                 assert plan.list_init[node.name] is walker.init_list
 
-    def test_specialized_modules_bind_deep_paths_to_shared_accessors(self):
+    def test_specialized_modules_walk_paths_and_draw_inline(self):
+        """No module calls a shared accessor or ``randrange``/``randint``:
+        modules import only the runtime's errors and its pad draw."""
         for key in registry.available():
             for _, graph_factory, _ in registry.get(key).directions():
-                source = generate_specialized_module(graph_factory())
-                for helper in ("_get_path", "_set_path", "_ensure_list"):
-                    assert helper not in source
-        dns = generate_specialized_module(registry.get("dns").graph_factory())
-        assert "from repro.core.fieldpath import accessor as _accessor" in dns
-        assert ".get(message, (i0, i1))" in dns
+                for level in (0, 2, 4):
+                    graph = graph_factory()
+                    if level:
+                        graph = Obfuscator(seed=level).obfuscate(graph, level).graph
+                    source = generate_specialized_module(graph)
+                    for needle in ("_accessor", "rng.randrange", "rng.randint",
+                                   "repro.core.fieldpath"):
+                        assert needle not in source, (key, level, needle)
+                    imports = {line for line in source.splitlines()
+                               if line.startswith("from repro")}
+                    assert imports <= {
+                        "from repro.core.errors import MessageError, ParseError, "
+                        "SerializationError",
+                        "from repro.core.values import draw_pad as _draw_pad",
+                    }
+
+
+class TestMessageTextTable:
+    """``Message`` finds a path text it resolved before in one probe."""
+
+    def test_text_and_field_path_resolve_to_the_same_accessor(self):
+        for text in ("query_id", "a.b", "rows[2].cells[0].value"):
+            by_text = message_module._concrete(text)
+            assert by_text is message_module._concrete(FieldPath.parse(text))
+            assert by_text is accessor(text)
+            assert message_module._BY_TEXT[text] is by_text
+            data: dict = {}
+            Message(data).set(text, 7)
+            assert Message(data).get(text) == Message(data).get(FieldPath.parse(text)) == 7
+
+    def test_every_call_on_an_unbound_path_raises_the_same_error(self):
+        message = Message({"rows": [{"x": 1}]})
+        calls = (lambda path: message.get(path), lambda path: message.has(path),
+                 lambda path: message.set(path, 1), lambda path: message.delete(path),
+                 lambda path: message.list_length(path))
+        for call in calls:
+            texts = set()
+            for _ in range(3):
+                with pytest.raises(MessageError) as caught:
+                    call("rows[*].x")
+                texts.add(str(caught.value))
+            assert texts == {"path rows[*].x still contains unbound indices"}
+        assert "rows[*].x" not in message_module._BY_TEXT
+        assert message == {"rows": [{"x": 1}]}
+
+    def test_invalid_text_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(MessageError, match="invalid field path segment"):
+                Message().set("bad segment", 1)
+        assert "bad segment" not in message_module._BY_TEXT
+
+    def test_table_is_bounded(self):
+        message = Message()
+        for index in range(fieldpath._CACHE_CAPACITY + 50):
+            message.set(f"text_{index}", index)
+        assert len(message_module._BY_TEXT) <= fieldpath._CACHE_CAPACITY
+        assert message.get("text_0") == 0

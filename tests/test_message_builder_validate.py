@@ -519,6 +519,42 @@ class TestValidation:
         with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(graph)
 
+    def test_synthesis_cannot_have_a_pad_child(self):
+        # The serializer would hand the pad a share and write random bytes;
+        # the parser finds no value in it.
+        pad = Node("pad0", NodeType.TERMINAL, Boundary.fixed(1),
+                   value_kind=ValueKind.BYTES, is_pad=True)
+        split = Node("v_split", NodeType.SEQUENCE, Boundary.delegated(),
+                     children=[pad, uint("v_share", 1)], origin=FieldPath.parse("v"),
+                     synthesis=Synthesis(SynthesisOp.ADD, ValueKind.UINT, width=1))
+        message = "synthesis node 'v_split' cannot have the pad child 'pad0'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(FormatGraph(sequence("root", [split])))
+
+    @pytest.mark.parametrize("inner", ["a.b", "a[*]", "a.b[*].c"])
+    def test_value_origin_cannot_prefix_another_origin(self, inner):
+        # Parsing would store a value where another path needs a container.
+        graph = build_graph(sequence("root", [uint("a", 1), uint("b", 1)]), "demo")
+        graph.root.children[1].origin = FieldPath.parse(inner)
+        message = f"origin a of 'a' is a strict prefix of the origin {inner} of 'b'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph)
+
+    def test_origin_prefix_rule_compares_index_steps_as_equal(self):
+        rows = repetition("rows", sequence("row", [uint("x", 1), uint("y", 1)]))
+        graph = build_graph(sequence("root", [rows]), "demo")
+        x, y = rows.children[0].children
+        y.origin = FieldPath.parse("rows[*].x.deeper")
+        message = "origin rows[*].x of 'x' is a strict prefix of the origin rows[*].x.deeper of 'y'"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph)
+        # Equal origins are no strict prefix: two terminals, or an optional
+        # and its terminal.
+        y.origin = FieldPath.parse("rows[*].x")
+        validate_graph(graph)
+        validate_graph(build_graph(sequence("root", [optional("opt", uint("v", 1))]),
+                                   "demo"))
+
     def test_contract_rules_run_after_every_other_rule(self):
         # 'a' has no origin, but the greedy 'rest' before it is reported.
         root = sequence("root", [remaining_bytes("rest"), uint("a", 1)])

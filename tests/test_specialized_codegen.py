@@ -45,13 +45,17 @@ from repro.core.boundary import Boundary
 from repro.core.builder import (
     build_graph,
     bytes_field,
+    delimited_text,
     optional,
+    remaining_bytes,
     repetition,
     sequence,
     tabular,
+    text_field,
     uint,
 )
-from repro.core.errors import CodegenError, GraphError, ParseError
+from repro.core.errors import CodegenError, GraphError, MessageError, ParseError
+from repro.core.fieldpath import FieldPath
 from repro.core.node import Node, NodeType
 from repro.core.values import Synthesis, SynthesisOp, ValueKind, ValueOp, ValueOpKind
 from repro.net import Capture, ObfuscatedClient, ObfuscatedServer
@@ -117,8 +121,28 @@ def unworkable_graph(shape: str):
     The graph is built without validation: a bytewise op on a uint, a
     zero-size uint, a pad measured as a LENGTH field, a terminal or a
     repetition without a logical origin, a synthesis share that also counts
-    a tabular, or an optional whose presence terminal is a pad.
+    a tabular, an optional whose presence terminal is a pad, a pad inside a
+    synthesis node, or a value stored where another path needs a container.
     """
+    if shape == "pad_in_synthesis":
+        # Both tiers serialized {"v_split": 7} as b'\xd7B'; the interpreted
+        # parser then found no value in the pad and the specialized one
+        # raised a NameError.
+        pad = Node("pad0", NodeType.TERMINAL, Boundary.fixed(1),
+                   value_kind=ValueKind.BYTES, is_pad=True)
+        split = Node("v_split", NodeType.SEQUENCE, Boundary.delegated(),
+                     children=[pad, uint("v_share", 1)],
+                     synthesis=Synthesis(SynthesisOp.ADD, ValueKind.UINT, width=1))
+        graph = build_graph(sequence("msg", [split]), shape, validate=False)
+        split.children[1].origin = None  # shares carry no logical origin
+        return graph, "synthesis node 'v_split' cannot have the pad child 'pad0'"
+    if shape == "value_over_container":
+        # Both tiers parsed b'\x05\x06' to {'a': {'b': 6}}, which no tier
+        # could serialize again.
+        graph = build_graph(sequence("msg", [uint("a", 1), uint("b", 1)]), shape,
+                            validate=False)
+        graph.root.children[1].origin = FieldPath.parse("a.b")
+        return graph, "origin a of 'a' is a strict prefix of the origin a.b of 'b'"
     if shape == "share_counter":
         # The serializer writes 'v_share_1' as a share; a parser reading it
         # as the tabular's counter finds one share where two belong.
@@ -162,7 +186,8 @@ def unworkable_graph(shape: str):
 
 
 UNWORKABLE = ("bytewise_uint", "sizeless_uint", "pad_length", "share_counter",
-              "pad_presence", "repetition_without_origin", "terminal_without_origin")
+              "pad_presence", "repetition_without_origin", "terminal_without_origin",
+              "pad_in_synthesis", "value_over_container")
 
 
 def wait_for_module(graph, timeout: float = 60.0) -> types.ModuleType:
@@ -402,6 +427,157 @@ class TestValidatedGraphsOnly:
         graph, error = unworkable_graph("pad_length")
         with pytest.raises(GraphError, match=f"^{re.escape(error)}$"):
             SpecializedCodec(graph, seed=0).serialize({"body": b"ab"})
+
+
+def walk_shape(shape: str):
+    """Plain graph of one field-path shape the specialized modules walk
+    inline, and a generator of its well-formed messages."""
+    if shape == "block_field_list":
+        # request_payload.<block>.<field>[*] (and [*].<field>), as in Modbus.
+        cells = tabular("cells", sequence("cell", [uint("hi", 1), uint("lo", 2)]),
+                        counter="cell_count")
+        regs = tabular("registers", uint("register", 2), counter="reg_count")
+        block = sequence("write", [uint("cell_count", 1), cells, uint("reg_count", 1), regs])
+        root = sequence("msg", [uint("fc", 1), sequence("request_payload",
+                                                        [uint("unit", 1), block])])
+
+        def message(rng):
+            return {"fc": rng.randrange(256), "request_payload": {
+                "unit": rng.randrange(256), "write": {
+                    "cells": [{"hi": rng.randrange(256), "lo": rng.randrange(1 << 16)}
+                              for _ in range(rng.randrange(4))],
+                    "registers": [rng.randrange(1 << 16) for _ in range(rng.randrange(4))],
+                }}}
+    elif shape == "optional_blocks":
+        # mqtt_body.<block>.<field> under presence-selected optionals.
+        connect = sequence("connect", [uint("keepalive", 2),
+                                       delimited_text("client_id", b"\x00")])
+        publish = sequence("publish", [uint("packet_id", 2), remaining_bytes("payload")])
+        body = sequence("mqtt_body", [
+            optional("connect_opt", connect, presence_ref="kind", presence_value=1),
+            optional("publish_opt", publish, presence_ref="kind", presence_value=3)])
+        root = sequence("msg", [uint("kind", 1), body])
+
+        def message(rng):
+            if rng.random() < 0.5:
+                return {"kind": 1, "mqtt_body": {"connect_opt": {
+                    "keepalive": rng.randrange(1 << 16),
+                    "client_id": "c%d" % rng.randrange(100)}}}
+            return {"kind": 3, "mqtt_body": {"publish_opt": {
+                "packet_id": rng.randrange(1 << 16),
+                "payload": bytes(rng.randrange(256) for _ in range(rng.randrange(5)))}}}
+    elif shape == "options_list":
+        # coap_body.coap_options[*].<field>, then an optional tail.
+        option = sequence("coap_option", [
+            uint("delta", 1), uint("value_len", 1),
+            bytes_field("value", Boundary.length("value_len"))])
+        options = repetition("coap_options", option, boundary=Boundary.delimited(b"\xff"))
+        body = sequence("coap_body", [uint("code", 1), options,
+                                      optional("tail", remaining_bytes("payload"))])
+        root = sequence("msg", [uint("mid", 2), body])
+
+        def message(rng):
+            body = {"code": rng.randrange(256), "coap_options": [
+                {"delta": rng.randrange(0xFE), "value": bytes(rng.randrange(3))}
+                for _ in range(rng.randrange(4))]}
+            if rng.random() < 0.5:
+                body["tail"] = b"payload"
+            return {"mid": rng.randrange(1 << 16), "coap_body": body}
+    else:
+        # questions[*].name[*].label_text: a repetition inside a tabular.
+        label = sequence("label", [uint("label_len", 1),
+                                   text_field("label_text", Boundary.length("label_len"))])
+        question = sequence("question", [
+            repetition("name", label, boundary=Boundary.delimited(b"\x00")),
+            uint("qtype", 2)])
+        root = sequence("msg", [uint("qid", 2), uint("qdcount", 1),
+                                tabular("questions", question, counter="qdcount")])
+
+        def message(rng):
+            return {"qid": rng.randrange(1 << 16), "questions": [
+                {"name": [{"label_text": "l%d" % rng.randrange(10)}
+                          for _ in range(rng.randrange(1, 4))],
+                 "qtype": rng.randrange(1 << 16)}
+                for _ in range(rng.randrange(3))]}
+    return build_graph(root, shape), message
+
+
+WALK_SHAPES = ("block_field_list", "optional_blocks", "options_list", "nested_lists")
+
+
+def malformed(message: dict):
+    """Variants of ``message``: every value replaced by a bad one or deleted,
+    every dict by a list and every list by a shorter one."""
+    def paths(value, path=()):
+        if path:
+            yield path, value
+        if isinstance(value, dict):
+            for key, child in value.items():
+                yield from paths(child, path + (key,))
+        elif isinstance(value, list):
+            for index, child in enumerate(value):
+                yield from paths(child, path + (index,))
+
+    for path, value in list(paths(message)):
+        for replacement in (None, -1, "x", b"", [1], {"a": 1}, _DELETE):
+            yield mutated(message, path, replacement)
+        if isinstance(value, dict):
+            yield mutated(message, path, [value])
+        if isinstance(value, list):
+            for size in range(len(value)):
+                yield mutated(message, path, value[:size])
+
+
+class TestInlineWalks:
+    """Inline walks read and write exactly what the shared accessors do:
+    every path shape, obfuscated or not, gives the interpreted tier's bytes,
+    structures and typed errors, on well-formed and malformed messages."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", WALK_SHAPES)
+    def test_tiers_agree(self, shape, level):
+        graph, message = walk_shape(shape)
+        if level:
+            graph = Obfuscator(seed=level).obfuscate(graph, level).graph
+        module = SpecializedCodec(graph).module
+        parser = Parser(graph)
+        rng = Random(level)
+        for _ in range(6):
+            valid = message(rng)
+            for case in (valid, *malformed(valid)):
+                before = deepcopy(case)
+                interpreted = outcome(Serializer(graph, rng=Random(0)).serialize, case)
+                specialized = outcome(
+                    SpecializedCodec(graph, seed=0, module=module).serialize, case)
+                assert specialized == interpreted, case
+                assert case == before
+            wire = Serializer(graph, rng=Random(1)).serialize(valid)
+            assert SpecializedCodec(graph, module=module).parse(wire) == valid
+            for cut in range(len(wire)):
+                TestErrorParity.assert_same_outcome(
+                    parser, SpecializedCodec(graph, module=module), wire[:cut])
+
+    @pytest.mark.parametrize("value_first", [False, True])
+    def test_a_container_of_the_wrong_type_raises_the_same_error(self, value_first):
+        """A list and a dict at one origin validate; parsing into them raises
+        the accessor's own MessageError on both tiers."""
+        items = tabular("a", uint("item", 1), counter="n")
+        value = uint("b", 1)
+        children = [value, uint("n", 1), items] if value_first else [uint("n", 1), items, value]
+        graph = build_graph(sequence("msg", children), "conflict", validate=False)
+        value.origin = FieldPath.parse("a.b")
+        module = SpecializedCodec(graph).module
+        wire = b"\x07\x02\x05\x06" if value_first else b"\x02\x05\x06\x07"
+        expected = ("expected a list at ('a',)" if value_first
+                    else "expected a dict at ('a',)")
+        assert outcome(Parser(graph).parse, wire) == (MessageError, expected)
+        for cut in range(len(wire) + 1):
+            assert outcome(module.parse, wire[:cut]) == outcome(
+                lambda data: Parser(graph).parse(data).raw, wire[:cut])
+        for case in ({"a": [1, 2], "b": 3}, {"a": {"b": 3}}, {"a": [], "b": 1}):
+            assert outcome(SpecializedCodec(graph, seed=0, module=module).serialize,
+                           case) == outcome(Serializer(graph, rng=Random(0)).serialize,
+                                            case)
 
 
 class TestCodecWrapper:

@@ -22,6 +22,7 @@ from repro.core import (
     encode_value,
     invert_chain,
 )
+from repro.core.values import draw_below, draw_pad
 
 
 class TestUintCodec:
@@ -177,3 +178,43 @@ class TestSynthesis:
         rng = Random(2)
         shares = {synthesis.split(1000, rng)[0] for _ in range(16)}
         assert len(shares) > 1, "splits must draw random shares per message"
+
+
+class TestDraws:
+    """The draw helpers return what ``Random.randrange``/``randint`` return
+    and leave the generator in the same state, on every supported CPython."""
+
+    DRAWS = 2000
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_pad_matches_randrange(self, size):
+        ours, reference = Random(size), Random(size)
+        for _ in range(self.DRAWS):
+            expected = bytes(reference.randrange(256) for _ in range(size))
+            assert draw_pad(ours.getrandbits, size) == expected
+        assert ours.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("bits", [8, 16, 32])
+    def test_share_matches_randrange(self, bits):
+        ours, reference = Random(bits), Random(bits)
+        for _ in range(self.DRAWS):
+            assert draw_below(ours.getrandbits, 1 << bits) == reference.randrange(1 << bits)
+        assert ours.getstate() == reference.getstate()
+
+    def test_cut_matches_randint(self):
+        for n in range(1, 65):
+            ours, reference = Random(n), Random(n)
+            for _ in range(self.DRAWS):
+                assert draw_below(ours.getrandbits, n) == reference.randint(0, n - 1)
+            assert ours.getstate() == reference.getstate()
+
+    def test_split_draws_through_the_helpers(self):
+        ours, reference = Random(7), Random(7)
+        add = Synthesis(SynthesisOp.ADD, ValueKind.UINT, width=2)
+        cat = Synthesis(SynthesisOp.CAT, ValueKind.BYTES)
+        for _ in range(100):
+            share = reference.randrange(1 << 16)
+            assert add.split(1234, ours) == (share, (1234 - share) % (1 << 16))
+            cut = reference.randint(0, 5)
+            assert cat.split(b"hello", ours) == (b"hello"[:cut], b"hello"[cut:])
+        assert ours.getstate() == reference.getstate()
