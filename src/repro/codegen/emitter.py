@@ -31,7 +31,7 @@ GENERATED_MARKER = "# === generated code (emitted per specification) ==="
 #: as ``__emitter_version__``; the loader refuses modules carrying a different
 #: version (a stale on-disk cache entry must be regenerated, never run).
 #: Bump whenever the emitted API or semantics change incompatibly.
-EMITTER_VERSION = "5"
+EMITTER_VERSION = "6"
 
 
 # ---------------------------------------------------------------------------

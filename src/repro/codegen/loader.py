@@ -121,8 +121,8 @@ class GeneratedCodec:
                              ) -> tuple[bytes, list[FieldSpan]]:
         """Serialize and return the field spans, through the interpreted tier.
 
-        Spans need the interpreted piece model; its serializer draws from this
-        codec's RNG exactly as the module does, so the bytes are the same.
+        The modules record no spans; the interpreted serializer draws from
+        this codec's RNG exactly as the module does, so the bytes are the same.
         """
         return Serializer(self.graph, rng=self._rng).serialize_with_spans(message)
 

@@ -17,7 +17,7 @@ resolved at emit time.
   chains,
 * serialization appends into one shared ``bytearray``; derived length fields
   are emitted as zero placeholders and back-patched in place once their
-  region has been measured (no :class:`~repro.wire.pieces.PieceList`),
+  region has been measured, as the interpreted serializer does,
 * every field path is walked inline, with the shared accessors' exact
   reads, writes and errors; each container a walk reaches stays in a local
   variable for the rest of its block, so paths under one prefix share one
@@ -853,8 +853,8 @@ class _SpecEmitter:
         width = node.boundary.size or 0
         rid = self.resolver_id(width, node.endian.value, node.codec_chain)
         key = self._region_key(self.length_sources[node.name].name)
-        self._needs.add("slots")
-        self.w(f"pend.append([len(out), {width}, False, {rid}, {key}])")
+        self._needs.update(("slots", "fit"))
+        self.w(f"pend.append([len(out), {width}, False, {rid}, {key}, {node.name!r}])")
         self.w(f"out += {self.zero_const(width)}")
 
     def _s_counter(self, node: Node, counted: Node) -> None:
@@ -879,15 +879,7 @@ class _SpecEmitter:
         delim = (node.boundary.delimiter
                  if node.boundary.kind is BoundaryKind.DELIMITED else b"")
         if kind is ValueKind.UINT:
-            # Validated uints are fixed-size, with integer ops of their width.
-            steps = _int_chain_steps(chain, inverse=False)
-            modulus = 1 << (8 * size)
-            self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
-            # A chain whose final mask fits the field never overflows it.
-            if not steps or steps[-1][2] >= modulus or not steps[-1][0]:
-                self.w(f"if not 0 <= {x} < {modulus}:")
-                template = f"terminal {node.name!r}: value %d does not fit in {size} byte(s)"
-                self.w(f"    raise SerializationError({template!r} % {x})")
+            self._s_uint(node, x)
             if size == 1:
                 self.w(f"out.append({x})")
             else:
@@ -929,6 +921,20 @@ class _SpecEmitter:
             self.w(f"out += {x}")
             if delim:
                 self.w(f"out += {delim!r}")
+
+    def _s_uint(self, node: Node, x: str) -> None:
+        """Range-check the logical uint in ``x``, then fold its chain in.
+
+        Validated uints are fixed-size, with integer ops of their width, so
+        the masked additions and in-range xors keep a checked value in range.
+        """
+        size = node.boundary.size or 0
+        self._needs.add("fit")
+        self.w(f"if not 0 <= ({x} := int({x})) < {1 << (8 * size)}:")
+        self.w(f"    _fit({x}, {size}, {node.name!r})")
+        steps = _int_chain_steps(node.codec_chain, inverse=False)
+        if steps:
+            self.w(f"{x} = {_fold_int_steps(x, steps)}")
 
     # -- sequences with pack-run fusion ---------------------------------------
 
@@ -985,17 +991,9 @@ class _SpecEmitter:
             assert child.origin is not None
             self.emit_get(x, child.origin, self._sloops)
             self._s_missing(child, x, "terminal")
-            steps = _int_chain_steps(child.codec_chain, inverse=False)
-            self.w(f"{x} = {_fold_int_steps(f'int({x})', steps)}")
-        self._needs.add("packfail")
-        self.w("try:")
-        self.w(f"    out += {struct_name}.pack({', '.join(names)})")
-        self.w("except Exception:")
-        entries = ", ".join(
-            f"({x}, {child.boundary.size or 0}, {child.name!r})"
-            for x, child in zip(names, run)
-        )
-        self.w(f"    _pack_fail(({entries}))")
+            self._s_uint(child, x)
+        # Every member was checked in order above, so the pack cannot fail.
+        self.w(f"out += {struct_name}.pack({', '.join(names)})")
 
     # -- synthesis --------------------------------------------------------------
 
@@ -1025,7 +1023,11 @@ class _SpecEmitter:
                 raise CodegenError(f"synthesis node {node.name!r} carries no width")
             modulus = 1 << (8 * synthesis.width)
             logical = self.var("x")
-            self.w(f"{logical} = int({x}) % {modulus}")
+            self.w(f"{logical} = int({x})")
+            self.w(f"if not 0 <= {logical} < {modulus}:")
+            template = (f"synthesis node {node.name!r}: value %d does not fit in "
+                        f"{synthesis.width} byte(s)")
+            self.w(f"    raise SerializationError({template!r} % {logical})")
             self._emit_draw(s1, str(modulus), str(modulus.bit_length()))
             if synthesis.op is SynthesisOp.ADD:
                 self.w(f"{s2} = ({logical} - {s1}) % {modulus}")
@@ -1193,8 +1195,13 @@ class _SpecEmitter:
             out.append("    lens = {}")
         out.extend(body)
         if has_slots:
+            # A measured length is range-checked before its resolver folds
+            # the chain in, as the interpreted tier's length encoders do.
             out.append("    for _s in pend:")
-            out.append("        _b = _RES[_s[3]](lens.get(_s[4], 0))")
+            out.append("        _L = lens.get(_s[4], 0)")
+            out.append("        if _L >> 8 * _s[1]:")
+            out.append("            _fit(_L, _s[1], _s[5])")
+            out.append("        _b = _RES[_s[3]](_L)")
             out.append("        if _s[2]:")
             out.append("            _b = _b[::-1]")
             out.append("        out[_s[0]:_s[0] + _s[1]] = _b")
@@ -1238,17 +1245,12 @@ def _run_fail(off, avail, parts):
             _eof(size, avail - used, off + used, name)
         used += size
     raise ParseError("fused read failed", off, None)  # pragma: no cover""")
-        if "packfail" in needs:
+        if "fit" in needs:
             chunks.append("""
 
-def _pack_fail(entries):
-    # Replay a fused pack's per-terminal range checks in emission order.
-    for value, size, name in entries:
-        value = int(value)
-        if not 0 <= value < (1 << (8 * size)):
-            raise SerializationError("terminal %r: value %d does not fit in "
-                                     "%d byte(s)" % (name, value, size))
-    raise SerializationError("fused pack failed")  # pragma: no cover""")
+def _fit(value, size, name):
+    raise SerializationError("terminal %r: value %d does not fit in %d byte(s)"
+                             % (name, value, size))""")
         if "mirror" in needs:
             chunks.append("""
 
@@ -1268,25 +1270,20 @@ def _mirror(out, mark, pend):
 
     def _emit_constants(self) -> str:
         lines = [""]
-        resolvers = []
-        for (width, endian, chain), _ in sorted(
-                self._resolvers.items(), key=lambda item: item[1]):
-            expr = _fold_int_steps("L", _int_chain_steps(chain, inverse=False))
-            modulus = 1 << (8 * width)
-            resolvers.append(f"    lambda L: (({expr}) % {modulus})"
-                             f".to_bytes({width}, {endian!r}),")
         for fmt, name in self._structs.items():
             lines.append(f"{name} = _struct.Struct({fmt!r})")
         for table, name in self._tables.items():
             lines.append(f"{name} = {table!r}")
         for width in sorted(self._zeros):
             lines.append(f"_Z{width} = bytes({width})")
-        if resolvers:
+        if self._resolvers:
             lines.append("")
-            lines.append("# Length-slot resolvers: chain applied, value reduced")
-            lines.append("# modulo the slot width, encoded at the slot's endianness.")
+            lines.append("# Length-slot resolvers: chain folded into the range-checked")
+            lines.append("# length, encoded at the slot's endianness.")
             lines.append("_RES = (")
-            lines.extend(resolvers)
+            for width, endian, chain in self._resolvers:
+                expr = _fold_int_steps("L", _int_chain_steps(chain, inverse=False))
+                lines.append(f"    lambda L: {expr}.to_bytes({width}, {endian!r}),")
             lines.append(")")
         lines.append("")
         return "\n".join(lines)

@@ -313,9 +313,12 @@ class Synthesis:
               ) -> tuple[Value, Value]:
         """Draw the two wire values reconstructing ``value`` (serialize side).
 
-        For integer syntheses the first share is drawn uniformly at random;
-        for concatenation the cut position is either ``split_at`` (fixed-size
-        splits decided at transform time) or drawn at random.
+        For integer syntheses the first share is drawn uniformly at random,
+        after checking that ``value`` fits in the synthesis width (a value
+        that does not raises :class:`SerializationError` rather than being
+        reduced modulo the width); for concatenation the cut position is
+        either ``split_at`` (fixed-size splits decided at transform time) or
+        drawn at random.
         """
         if self.op is _SYN_CAT:
             data = value if isinstance(value, (bytes, str)) else bytes(value)
@@ -326,7 +329,10 @@ class Synthesis:
         if self.width is None:
             raise SerializationError("integer synthesis requires a width")
         modulus = 1 << (8 * self.width)
-        logical = int(value) % modulus
+        logical = int(value)
+        if not 0 <= logical < modulus:
+            raise SerializationError(
+                f"value {logical} does not fit in {self.width} byte(s)")
         share = draw_below(rng.getrandbits, modulus)
         if self.op is _SYN_ADD:
             return share, (logical - share) % modulus

@@ -2,7 +2,6 @@
 
 from .codec import WireCodec
 from .parser import Parser, parse
-from .pieces import Chunk, LengthSlot, PieceList
 from .plan import (
     CodecPlan,
     TerminalPlan,
@@ -28,14 +27,11 @@ from .streaming import (
 from .window import Window
 
 __all__ = [
-    "Chunk",
     "CodecPlan",
     "DecodedMessage",
     "FieldSpan",
-    "LengthSlot",
     "NEED_MORE",
     "Parser",
-    "PieceList",
     "Serializer",
     "StreamSource",
     "StreamWindow",

@@ -15,7 +15,13 @@ source paper applies to its generated C++ parsers:
 * the resolved static size of every node,
 * one composed codec callable per terminal (codec chain + value encoding
   fused, with byte-translation tables for byte-wise chains),
-* pre-encoded delimiters and fixed-width length-slot templates.
+* pre-encoded delimiters and, per length field, the node it measures and
+  the resolver that encodes the measure (its uint terminal's encoder).
+
+Every uint encoder checks the *logical* value against the field's width
+before the chain runs, so an integer too large for its field raises the same
+error in every dialect instead of wrapping modulo the width under an ADD
+step or leaking a xor-ed value.
 
 Only validated graphs compile: :func:`compile_plan` runs
 :func:`~repro.core.validate.validate_graph` first, so no plan path, and no
@@ -52,7 +58,6 @@ from ..core.graph import FormatGraph
 from ..core.node import Node, NodeType
 from ..core.validate import validate_graph
 from ..core.values import Endian, Value, ValueKind, ValueOp, ValueOpKind, encode_value
-from .pieces import LengthSlot
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +200,20 @@ class TerminalPlan:
     delimiter: bytes
 
 
+@dataclass(frozen=True)
+class LengthField:
+    """A derived length field: the node it measures and how to encode it.
+
+    ``resolve`` maps the measured byte length of ``target`` to the field's
+    ``width`` wire bytes; it is the field's uint encoder, so a length that
+    does not fit in the field raises before the codec chain runs.
+    """
+
+    target: str
+    width: int
+    resolve: Callable[[int], bytes]
+
+
 def _compile_decode(node: Node) -> Callable[[bytes], Value]:
     kind = node.value_kind
     assert kind is not None
@@ -226,26 +245,31 @@ def _compile_encode(name: str, kind: ValueKind, endian: Endian, size: int | None
     is FIXED, ``delimiter`` empty unless it is DELIMITED) rather than a node;
     :func:`compile_plan` is its only caller.
     """
-    compiled = _compile_chain(kind, chain)
-    apply_ops = compiled[0] if compiled is not None else None
-
-    if apply_ops is None and kind is ValueKind.UINT and size is not None and size > 0:
-        # Fixed-width unsigned integer without a codec chain: by far the most
-        # common terminal shape — encode with one bound int.to_bytes call.
+    if kind is ValueKind.UINT:
+        # Validated uints are fixed-size and carry integer ops of their width.
+        # The logical value is range-checked before the chain runs; the
+        # chain's masked additions and in-range xors keep it in range.
+        assert size is not None
         modulus = 1 << (8 * size)
         byteorder = endian.value
+        apply_int = _int_chain_fn(chain, inverse=False) if chain else None
 
-        def encode_uint_fast(value: object) -> bytes:
+        def encode_uint(value: object) -> bytes:
             integer = int(value)  # type: ignore[arg-type]
             if not 0 <= integer < modulus:
                 raise SerializationError(
                     f"terminal {name!r}: value {integer} does not fit in {size} byte(s)"
                 )
+            if apply_int is not None:
+                integer = apply_int(integer)
             return integer.to_bytes(size, byteorder)
 
-        return encode_uint_fast
+        return encode_uint
 
-    if apply_ops is None and kind in (ValueKind.BYTES, ValueKind.TEXT):
+    compiled = _compile_chain(kind, chain)
+    apply_ops = compiled[0] if compiled is not None else None
+
+    if apply_ops is None:
         label = "bytes" if kind is ValueKind.BYTES else "text"
 
         def encode_data_fast(value: object) -> bytes:
@@ -272,8 +296,7 @@ def _compile_encode(name: str, kind: ValueKind, endian: Endian, size: int | None
         return encode_data_fast
 
     def encode(value: object) -> bytes:
-        if apply_ops is not None:
-            value = apply_ops(value)  # type: ignore[arg-type]
+        value = apply_ops(value)  # type: ignore[arg-type]
         try:
             encoded = encode_value(value, kind, size=size, endian=endian)  # type: ignore[arg-type]
         except SerializationError as exc:
@@ -343,8 +366,7 @@ class CodecPlan:
     ref_targets:
         Names of the terminals referenced by a LENGTH or COUNTER boundary.
     length_slots:
-        Length-field terminal name -> pre-built :class:`LengthSlot` template
-        (``context=()``; the serializer stamps the live repetition context).
+        Length-field terminal name -> its :class:`LengthField`.
     counter_sources:
         Counter-field terminal name -> ``(counted node name, counted node
         origin path)``.
@@ -383,7 +405,7 @@ class CodecPlan:
         self,
         graph_name: str,
         ref_targets: frozenset[str],
-        length_slots: dict[str, LengthSlot],
+        length_slots: dict[str, LengthField],
         length_targets: frozenset[str],
         counter_sources: dict[str, tuple[str, FieldPath]],
         static_sizes: dict[str, int | None],
@@ -399,13 +421,13 @@ class CodecPlan:
         self.ref_targets = ref_targets
         self.length_slots = length_slots
         #: names of the LENGTH-bounded nodes: the only nodes whose measured
-        #: region length is ever read back when resolving length slots.
+        #: region length is ever read back when resolving length fields.
         self.length_targets = length_targets
         self.counter_sources = counter_sources
         #: one-probe union of the two derived-field maps, checked once per
-        #: terminal per message: length-field name -> its LengthSlot template,
+        #: terminal per message: length-field name -> its LengthField,
         #: counter-field name -> its (counted node name, origin) tuple.
-        self.derived_fields: dict[str, LengthSlot | tuple[str, FieldPath]] = {
+        self.derived_fields: dict[str, LengthField | tuple[str, FieldPath]] = {
             **counter_sources,
             **length_slots,
         }
@@ -476,7 +498,7 @@ def compile_plan(graph: FormatGraph) -> CodecPlan:
     presence_get = {
         name: accessor(path).get for name, path in presence_origins.items()
     }
-    length_slots: dict[str, LengthSlot] = {}
+    length_slots: dict[str, LengthField] = {}
     terminals: dict[str, TerminalPlan] = {}
     for node in terminal_nodes:
         delimiter = (
@@ -484,27 +506,22 @@ def compile_plan(graph: FormatGraph) -> CodecPlan:
             if node.boundary.kind is BoundaryKind.DELIMITED
             else b""
         )
+        encode = _compile_encode(
+            node.name, node.value_kind, node.endian,
+            node.boundary.size if node.boundary.kind is BoundaryKind.FIXED else None,
+            delimiter, node.codec_chain,
+        )
         terminals[node.name] = TerminalPlan(
             name=node.name,
             decode=_compile_decode(node),
-            encode=_compile_encode(
-                node.name, node.value_kind, node.endian,
-                node.boundary.size if node.boundary.kind is BoundaryKind.FIXED else None,
-                delimiter, node.codec_chain,
-            ),
+            encode=encode,
             delimiter=delimiter,
         )
         target = length_sources.get(node.name)
         if target is not None:
-            length_slots[node.name] = LengthSlot(
-                node=node.name,
-                target=target.name,
-                width=node.boundary.size or 0,
-                endian=node.endian,
-                codec_chain=node.codec_chain,
-                mirrored=False,
-                origin=node.origin,
-                context=(),
+            # Validation makes every length field a fixed-size uint.
+            length_slots[node.name] = LengthField(
+                target=target.name, width=node.boundary.size or 0, resolve=encode,
             )
     return CodecPlan(
         graph_name=graph.name,

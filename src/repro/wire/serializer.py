@@ -1,7 +1,7 @@
 """The wire serializer.
 
 The serializer walks a (possibly obfuscated) message format graph depth-first
-and builds the obfuscated byte string directly from the *logical* message, so
+and writes the obfuscated byte string directly from the *logical* message, so
 the non-obfuscated representation never exists as a contiguous buffer — this
 is the Observation counter-measure of the paper (Section VI).
 
@@ -10,17 +10,21 @@ Transformations are executed on the fly during the traversal:
 * aggregation transformations (ConstAdd/Sub/Xor) are applied through each
   terminal's codec chain,
 * Split* nodes draw a random share and emit the two wire sub-values,
-* ReadFromEnd mirrors the pieces of the affected subtree,
+* ReadFromEnd reverses the bytes the affected subtree wrote, in place,
 * PadInsert terminals draw random bytes,
-* derived length fields are emitted as fixed-width slots and patched once the
-  covered region has been measured (two-pass assembly).
+* derived length fields are written as zero placeholders and filled in once
+  the walk has measured every covered region.
 
 The traversal executes against a compiled :class:`~repro.wire.plan.CodecPlan`
-(length/counter source maps, fused codec callables, slot templates) and
-appends into one shared :class:`PieceList` accumulator instead of merging a
-piece list per node, which keeps the per-message cost linear in the number of
-emitted pieces.  The plan compiles only validated graphs, so every value the
-walk reads has a logical origin and every synthesis node two shares.
+(accessors, fused encoders, length-field resolvers) and writes every field
+straight into one ``bytearray``, as the specialized modules do.  A length
+field leaves a *pending slot*: its position, its resolver, the repetition
+context of the region it measures and a mirrored flag.  Reversing a mirrored
+region moves the slots inside it and flips their flag.  When spans are
+requested, every labelled write records its extent, and a mirrored region
+reverses and remaps its own spans, so they stay in wire order.  The plan
+compiles only validated graphs, so every value the walk reads has a logical
+origin and every synthesis node two shares.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from ..core.graph import FormatGraph
 from ..core.message import Message
 from ..core.node import Node, NodeType
 from ..core.values import draw_pad
-from .pieces import LengthSlot, PieceList
-from .plan import CodecPlan, plan_for
+from .plan import CodecPlan, LengthField, plan_for
 from .spans import FieldSpan
 
 # Enum members bound once (see the note in :mod:`repro.wire.parser`).
@@ -51,51 +54,68 @@ class _SerializeContext:
     """Mutable state shared by one serialization run."""
 
     __slots__ = (
-        "message",
         "data",
         "rng",
         "index_stack",
         "context",
         "region_lengths",
         "plan",
-        "merge_delimiters",
+        "slots",
+        "spans",
     )
 
     def __init__(self, plan: CodecPlan, message: Message, rng: Random,
-                 *, merge_delimiters: bool = False):
-        self.message = message
+                 spans: list | None):
         #: live underlying dictionary of the message, navigated by the plan's
         #: compiled accessors.
         self.data = message.raw
-        #: when True (plain serialize(), no span reporting) a terminal's value
-        #: and its delimiter are emitted as one chunk: the assembled bytes are
-        #: identical — mirroring reverses the concatenation exactly like the
-        #: two chunks in reverse order — but span extents would differ, so the
-        #: span-reporting path keeps them separate.
-        self.merge_delimiters = merge_delimiters
         self.rng = rng
         self.index_stack: list[int] = []
-        #: tuple mirror of ``index_stack``, maintained on push/pop so that
-        #: per-node region keys do not re-tuple the stack.
+        #: tuple mirror of ``index_stack``, maintained by the repetition loop
+        #: so that per-node region keys do not re-tuple the stack.
         self.context: tuple[int, ...] = ()
-        #: serialized byte length of every node instance, keyed by
+        #: serialized byte length of every measured node instance, keyed by
         #: (node name, repetition index context)
         self.region_lengths: dict[tuple[str, tuple[int, ...]], int] = {}
-        #: compiled length-slot templates and counter source map of the graph;
+        #: compiled encoders, accessors and length fields of the graph,
         #: precomputed once per graph instead of rebuilt per serialize() call.
         self.plan = plan
+        #: pending length fields, in write order: ``[position, width,
+        #: resolver, (target name, context), mirrored]``.
+        self.slots: list[list] = []
+        #: ``(node, origin, start, end)`` of every labelled write, in wire
+        #: order; ``None`` when the caller does not want spans.
+        self.spans = spans
 
     def resolve(self, path: FieldPath) -> FieldPath:
         """Bind the unbound repetition indices of ``path`` to the current stack."""
         return path.resolve(self.index_stack)
 
-    def push_index(self, index: int) -> None:
-        self.index_stack.append(index)
-        self.context += (index,)
+    def marks(self) -> tuple[int, int]:
+        """Slot and span counts: where a region's own slots and spans begin."""
+        return len(self.slots), len(self.spans) if self.spans is not None else 0
 
-    def pop_index(self) -> None:
-        self.index_stack.pop()
-        self.context = self.context[:-1]
+    def mirror(self, out: bytearray, start: int, marks: tuple[int, int]) -> None:
+        """Reverse ``out[start:]`` (ReadFromEnd) with the slots and spans in it.
+
+        Every slot and span recorded since ``marks`` lies inside the region;
+        one that covered ``[a, b)`` now covers ``[start + end - b, start + end
+        - a)``.  A slot's flag flips, so its resolved bytes are reversed too.
+        """
+        pivot = start + len(out)
+        region = out[start:]
+        region.reverse()
+        out[start:] = region
+        slot_mark, span_mark = marks
+        for slot in self.slots[slot_mark:]:
+            slot[0] = pivot - slot[0] - slot[1]
+            slot[4] = not slot[4]
+        spans = self.spans
+        if spans is not None and span_mark < len(spans):
+            spans[span_mark:] = [
+                (node, origin, pivot - end, pivot - begin)
+                for node, origin, begin, end in reversed(spans[span_mark:])
+            ]
 
 
 class Serializer:
@@ -113,41 +133,43 @@ class Serializer:
 
     def serialize(self, message: Message | dict) -> bytes:
         """Serialize ``message`` into its (obfuscated) wire representation."""
-        pieces, context = self._build_pieces(message, merge_delimiters=True)
-        data, _ = pieces.assemble(context.region_lengths, with_spans=False)
-        return data
+        return bytes(self._write(message, None))
 
     def serialize_with_spans(self, message: Message | dict) -> tuple[bytes, list[FieldSpan]]:
         """Serialize and also return the byte extents of every emitted wire field."""
-        pieces, context = self._build_pieces(message, merge_delimiters=False)
-        data, raw_spans = pieces.assemble(context.region_lengths)
+        raw_spans: list[tuple[str, FieldPath | None, int, int]] = []
+        data = bytes(self._write(message, raw_spans))
         spans = [
             FieldSpan(node=node, origin=origin, start=start, end=end)
             for node, origin, start, end in raw_spans
-            if node is not None
         ]
         return data, spans
 
-    def _build_pieces(self, message: Message | dict, *,
-                      merge_delimiters: bool) -> tuple[PieceList, _SerializeContext]:
+    def _write(self, message: Message | dict, spans: list | None) -> bytearray:
         logical = message if isinstance(message, Message) else Message.from_dict(message)
-        context = _SerializeContext(self.plan, logical, self._rng,
-                                    merge_delimiters=merge_delimiters)
-        out = PieceList()
-        self._serialize_node(self.graph.root, context, out)
-        return out, context
+        ctx = _SerializeContext(self.plan, logical, self._rng, spans)
+        out = bytearray()
+        self._serialize_node(self.graph.root, ctx, out)
+        lengths = ctx.region_lengths
+        for position, width, resolve, key, mirrored in ctx.slots:
+            data = resolve(lengths.get(key, 0))
+            out[position:position + width] = data[::-1] if mirrored else data
+        return out
 
     # -- node dispatch --------------------------------------------------------
 
-    def _serialize_node(self, node: Node, ctx: _SerializeContext, out: PieceList) -> None:
+    def _serialize_node(self, node: Node, ctx: _SerializeContext, out: bytearray) -> None:
         # Only LENGTH-bounded nodes ever have their measured region length
         # read back (when their slot is resolved); every other node skips the
-        # bookkeeping entirely.
+        # bookkeeping entirely.  A mirrored terminal reverses its own bytes;
+        # a mirrored composite reverses its region once it is written.
         measured = node.name in ctx.plan.length_targets
-        if measured or node.mirrored:
-            mark = len(out.pieces)
-            length_before = out.byte_length()
         node_type = node.type
+        region = node.mirrored and node_type is not _TERMINAL
+        if measured or region:
+            start = len(out)
+            if region:
+                marks = ctx.marks()
         if node_type is _TERMINAL:
             self._serialize_terminal(node, ctx, out)
         elif node_type is _SEQUENCE:
@@ -158,71 +180,70 @@ class Serializer:
             self._serialize_repetition(node, ctx, out)
         else:  # pragma: no cover - exhaustive enum
             raise SerializationError(f"unknown node type {node.type!r}")
-        if node.mirrored:
-            out.mirror_from(mark)
+        if region:
+            ctx.mirror(out, start, marks)
         if measured:
-            ctx.region_lengths[(node.name, ctx.context)] = out.byte_length() - length_before
+            ctx.region_lengths[(node.name, ctx.context)] = len(out) - start
 
     # -- terminals ------------------------------------------------------------
 
-    def _serialize_terminal(self, node: Node, ctx: _SerializeContext, out: PieceList,
-                            value_override: object = None) -> None:
-        if node.is_pad:
-            size = node.boundary.size or 0
-            out.add_bytes(draw_pad(ctx.rng.getrandbits, size), node=node.name, origin=None)
-            return
-        if value_override is None:
-            derived = ctx.plan.derived_fields.get(node.name)
-            if derived is not None:
-                if type(derived) is LengthSlot:
-                    out.add_slot(
-                        LengthSlot(
-                            node=derived.node,
-                            target=derived.target,
-                            width=derived.width,
-                            endian=derived.endian,
-                            codec_chain=derived.codec_chain,
-                            mirrored=False,
-                            origin=derived.origin,
-                            context=ctx.context,
-                        )
-                    )
-                    return
-                _, counted_origin = derived
-                count = self._list_length(
-                    ctx.plan.counter_get[node.name](ctx.data, ctx.index_stack),
-                    counted_origin, ctx,
-                )
-                self._emit_value(node, count, ctx, out)
-                return
-        value = value_override
+    def _serialize_terminal(self, node: Node, ctx: _SerializeContext, out: bytearray,
+                            value: object = None) -> None:
+        """Write one terminal; ``value`` is given for split shares only.
+
+        Validation gives a mirrored terminal no delimiter, so reversing its
+        encoded bytes reverses its whole region.
+        """
+        plan = ctx.plan
+        name = node.name
         if value is None:
-            value = self._logical_value(node, ctx)
-        self._emit_value(node, value, ctx, out)
+            if node.is_pad:
+                self._write_pad(node, ctx, out)
+                return
+            derived = plan.derived_fields.get(name)
+            if derived is None:
+                value = plan.origin_get[name](ctx.data, ctx.index_stack)
+                if value is None:
+                    raise SerializationError(
+                        f"logical message is missing field {ctx.resolve(node.origin)} "
+                        f"(terminal {name!r})"
+                    )
+            elif type(derived) is LengthField:
+                self._write_slot(node, derived, ctx, out)
+                return
+            else:
+                value = self._list_length(
+                    plan.counter_get[name](ctx.data, ctx.index_stack), derived[1], ctx)
+        terminal = plan.terminals[name]
+        encoded = terminal.encode(value)
+        if node.mirrored:
+            encoded = encoded[::-1]
+        spans = ctx.spans
+        if spans is not None and encoded:
+            spans.append((name, node.origin, len(out), len(out) + len(encoded)))
+        out += encoded
+        if terminal.delimiter:
+            out += terminal.delimiter
 
     @staticmethod
-    def _emit_value(node: Node, value: object, ctx: _SerializeContext,
-                    out: PieceList) -> None:
-        terminal = ctx.plan.terminals[node.name]
-        encoded = terminal.encode(value)
-        delimiter = terminal.delimiter
-        if delimiter:
-            if ctx.merge_delimiters:
-                out.add_bytes(encoded + delimiter, node=node.name, origin=node.origin)
-                return
-            out.add_bytes(encoded, node=node.name, origin=node.origin)
-            out.add_bytes(delimiter)
-            return
-        out.add_bytes(encoded, node=node.name, origin=node.origin)
+    def _write_pad(node: Node, ctx: _SerializeContext, out: bytearray) -> None:
+        pad = draw_pad(ctx.rng.getrandbits, node.boundary.size or 0)
+        if node.mirrored:
+            pad = pad[::-1]
+        if pad and ctx.spans is not None:
+            ctx.spans.append((node.name, None, len(out), len(out) + len(pad)))
+        out += pad
 
-    def _logical_value(self, node: Node, ctx: _SerializeContext) -> object:
-        value = ctx.plan.origin_get[node.name](ctx.data, ctx.index_stack)
-        if value is None:
-            raise SerializationError(
-                f"logical message is missing field {ctx.resolve(node.origin)} "
-                f"(terminal {node.name!r})"
-            )
-        return value
+    @staticmethod
+    def _write_slot(node: Node, field: LengthField, ctx: _SerializeContext,
+                    out: bytearray) -> None:
+        """Write a length field's zero placeholder and record its pending slot."""
+        position = len(out)
+        out += bytes(field.width)
+        ctx.slots.append([position, field.width, field.resolve,
+                          (field.target, ctx.context), node.mirrored])
+        if ctx.spans is not None:
+            ctx.spans.append((node.name, node.origin, position, len(out)))
 
     @staticmethod
     def _list_length(value: object, origin: FieldPath, ctx: _SerializeContext) -> int:
@@ -234,50 +255,43 @@ class Serializer:
 
     # -- composites -----------------------------------------------------------
 
-    def _serialize_sequence(self, node: Node, ctx: _SerializeContext, out: PieceList) -> None:
+    def _serialize_sequence(self, node: Node, ctx: _SerializeContext, out: bytearray) -> None:
         if node.synthesis is not None:
             self._serialize_synthesis(node, ctx, out)
             return
         length_targets = ctx.plan.length_targets
         for child in node.children:
-            # Plain terminals (no mirror, no measured region) skip the
-            # _serialize_node bookkeeping: one call less on the most common
-            # child shape.
-            if (child.type is _TERMINAL and not child.mirrored
-                    and child.name not in length_targets):
+            # Terminals without a measured region skip the _serialize_node
+            # bookkeeping: one call less on the most common child shape.
+            if child.type is _TERMINAL and child.name not in length_targets:
                 self._serialize_terminal(child, ctx, out)
             else:
                 self._serialize_node(child, ctx, out)
 
-    def _serialize_synthesis(self, node: Node, ctx: _SerializeContext, out: PieceList) -> None:
-        value = ctx.plan.origin_get[node.name](ctx.data, ctx.index_stack)
+    def _serialize_synthesis(self, node: Node, ctx: _SerializeContext, out: bytearray) -> None:
+        plan = ctx.plan
+        value = plan.origin_get[node.name](ctx.data, ctx.index_stack)
         if value is None:
             raise SerializationError(
                 f"logical message is missing field {ctx.resolve(node.origin)} "
                 f"(synthesis node {node.name!r})"
             )
-        shares = iter(node.synthesis.split(value, ctx.rng, split_at=node.split_at))
+        try:
+            shares = iter(node.synthesis.split(value, ctx.rng, split_at=node.split_at))
+        except SerializationError as exc:
+            raise SerializationError(f"synthesis node {node.name!r}: {exc}") from exc
         for child in node.children:
-            if child.name in ctx.plan.length_slots:
+            if child.name in plan.length_slots:
                 # Derived length prefix created by SplitCat on a variable-size
                 # terminal: emitted as a regular length slot.
                 self._serialize_node(child, ctx, out)
                 continue
-            self._serialize_split_child(child, next(shares), ctx, out)
+            start = len(out)
+            self._serialize_terminal(child, ctx, out, next(shares))
+            if child.name in plan.length_targets:
+                ctx.region_lengths[(child.name, ctx.context)] = len(out) - start
 
-    def _serialize_split_child(self, child: Node, value: object,
-                               ctx: _SerializeContext, out: PieceList) -> None:
-        measured = child.name in ctx.plan.length_targets
-        if measured or child.mirrored:
-            mark = len(out.pieces)
-            length_before = out.byte_length()
-        self._serialize_terminal(child, ctx, out, value_override=value)
-        if child.mirrored:
-            out.mirror_from(mark)
-        if measured:
-            ctx.region_lengths[(child.name, ctx.context)] = out.byte_length() - length_before
-
-    def _serialize_optional(self, node: Node, ctx: _SerializeContext, out: PieceList) -> None:
+    def _serialize_optional(self, node: Node, ctx: _SerializeContext, out: bytearray) -> None:
         if not self._optional_present(node, ctx):
             return
         self._serialize_node(node.children[0], ctx, out)
@@ -290,19 +304,23 @@ class Serializer:
             return False
         return ctx.plan.origin_get[node.name](ctx.data, ctx.index_stack) is not None
 
-    def _serialize_repetition(self, node: Node, ctx: _SerializeContext, out: PieceList) -> None:
+    def _serialize_repetition(self, node: Node, ctx: _SerializeContext, out: bytearray) -> None:
         count = self._list_length(
             ctx.plan.origin_get[node.name](ctx.data, ctx.index_stack), node.origin, ctx
         )
         child = node.children[0]
+        stack = ctx.index_stack
+        outer = ctx.context
+        # A failed element aborts the whole message, so nothing restores the
+        # index stack on the way out.
         for index in range(count):
-            ctx.push_index(index)
-            try:
-                self._serialize_node(child, ctx, out)
-            finally:
-                ctx.pop_index()
+            stack.append(index)
+            ctx.context = outer + (index,)
+            self._serialize_node(child, ctx, out)
+            stack.pop()
+        ctx.context = outer
         if node.type is _REPETITION and node.boundary.kind is _DELIMITED:
-            out.add_bytes(node.boundary.delimiter or b"")
+            out += node.boundary.delimiter or b""
 
 
 def serialize(graph: FormatGraph, message: Message | dict, *, rng: Random | None = None) -> bytes:

@@ -54,14 +54,28 @@ from repro.core.builder import (
     text_field,
     uint,
 )
-from repro.core.errors import CodegenError, GraphError, MessageError, ParseError
+from repro.core.errors import (
+    CodegenError,
+    GraphError,
+    MessageError,
+    ParseError,
+    SerializationError,
+)
 from repro.core.fieldpath import FieldPath
 from repro.core.node import Node, NodeType
 from repro.core.values import Synthesis, SynthesisOp, ValueKind, ValueOp, ValueOpKind
 from repro.net import Capture, ObfuscatedClient, ObfuscatedServer
 from repro.net.framing import RecordDecoder
 from repro.protocols import registry
-from repro.transforms import Obfuscator
+from repro.transforms import (
+    ConstAdd,
+    ConstSub,
+    ConstXor,
+    Obfuscator,
+    SplitAdd,
+    SplitSub,
+    SplitXor,
+)
 from repro.wire import StreamingDecoder, WireCodec, compile_plan
 from repro.wire.parser import Parser
 from repro.wire.plan import plan_for
@@ -578,6 +592,107 @@ class TestInlineWalks:
             assert outcome(SpecializedCodec(graph, seed=0, module=module).serialize,
                            case) == outcome(Serializer(graph, rng=Random(0)).serialize,
                                             case)
+
+
+def both_tiers(graph, message: dict) -> tuple:
+    """Interpreted and specialized outcome of serializing ``message``."""
+    return (outcome(Serializer(graph, rng=Random(0)).serialize, message),
+            outcome(SpecializedCodec(graph, seed=0).serialize, message))
+
+
+def transformed(graph, target: str, *transforms):
+    """``graph`` with each transformation applied to node ``target``."""
+    for transform in transforms:
+        transform().apply(graph, graph.find(target), Random(0))
+    return graph
+
+
+def tid_graph(*transforms):
+    graph = build_graph(sequence("root", [uint("tid", 2), uint("unit", 1)]), "tid")
+    return transformed(graph, "tid", *transforms)
+
+
+def dns_query(label: str) -> dict:
+    return {
+        "query_id": 1, "query_flags": 256, "query_ancount": 0,
+        "query_nscount": 0, "query_arcount": 0,
+        "query_questions": [{
+            "query_question_name": [{"query_question_label_text": label}],
+            "query_qtype": 1, "query_qclass": 1,
+        }],
+    }
+
+
+class TestValuesTooLargeForTheirField:
+    """An integer too large for its field raises one error naming the
+    logical value, with the same text on both tiers, in every dialect: no
+    ADD step or split reduces it modulo the width, no xor leaks into it."""
+
+    @pytest.mark.parametrize("transforms", [(), (ConstAdd,), (ConstSub,), (ConstXor,),
+                                            (ConstXor, ConstAdd)],
+                             ids=["plain", "add", "sub", "xor", "xor-add"])
+    @pytest.mark.parametrize("value", [70000, -1])
+    def test_a_value_terminal(self, transforms, value):
+        expected = (SerializationError,
+                    f"terminal 'tid': value {value} does not fit in 2 byte(s)")
+        assert both_tiers(tid_graph(*transforms), {"tid": value, "unit": 1}) == (
+            expected, expected)
+
+    @pytest.mark.parametrize("transform", [SplitAdd, SplitSub, SplitXor])
+    @pytest.mark.parametrize("value", [70000, -1])
+    def test_a_split_terminal(self, transform, value):
+        graph = tid_graph(transform)
+        split = graph.root.children[0].name
+        expected = (SerializationError,
+                    f"synthesis node {split!r}: value {value} does not fit in 2 byte(s)")
+        assert both_tiers(graph, {"tid": value, "unit": 1}) == (expected, expected)
+
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_every_level_one_dialect(self, seed):
+        graph = Obfuscator(seed=seed).obfuscate(tid_graph(), 1).graph
+        interpreted, specialized = both_tiers(graph, {"tid": 70000, "unit": 1})
+        assert interpreted == specialized
+        assert interpreted[0] is SerializationError
+        assert interpreted[1].endswith(": value 70000 does not fit in 2 byte(s)")
+
+    @pytest.mark.parametrize("transforms", [(), (ConstAdd,), (ConstSub,)],
+                             ids=["plain", "add", "sub"])
+    def test_a_counter(self, transforms):
+        graph = transformed(build_graph(sequence("root", [
+            uint("count", 1), tabular("items", uint("x", 1), counter="count"),
+        ]), "counted"), "count", *transforms)
+        expected = (SerializationError,
+                    "terminal 'count': value 300 does not fit in 1 byte(s)")
+        assert both_tiers(graph, {"items": [0] * 300}) == (expected, expected)
+        assert both_tiers(graph, {"items": [0] * 255})[0][0] == "ok"
+
+    @pytest.mark.parametrize("transforms", [(), (ConstAdd,), (ConstXor,)],
+                             ids=["plain", "add", "xor"])
+    def test_a_length_field(self, transforms):
+        graph = transformed(registry.get("dns").graph_factory(),
+                            "query_question_label_len", *transforms)
+        expected = (SerializationError,
+                    "terminal 'query_question_label_len': value 300 does not fit "
+                    "in 1 byte(s)")
+        assert both_tiers(graph, dns_query("a" * 300)) == (expected, expected)
+        assert both_tiers(graph, dns_query("a" * 255))[0][0] == "ok"
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_a_length_field_in_registry_dialects(self, level):
+        graph = dialect(registry.get("dns").graph_factory, level)
+        interpreted, specialized = both_tiers(graph, dns_query("a" * 300))
+        assert interpreted == specialized
+        assert interpreted == (
+            SerializationError,
+            "terminal 'query_question_label_len': value 300 does not fit in 1 byte(s)")
+
+    def test_a_packed_run_raises_for_its_first_bad_member(self):
+        """Each member of a fused pack is checked in order, as one by one:
+        an oversized first member is reported before a missing second one."""
+        graph = build_graph(sequence("root", [uint("a", 1), uint("b", 1)]), "run")
+        assert "_S0.pack(" in SpecializedCodec(graph).source
+        expected = (SerializationError, "terminal 'a': value 300 does not fit in 1 byte(s)")
+        assert both_tiers(graph, {"a": 300}) == (expected, expected)
 
 
 class TestCodecWrapper:

@@ -1,11 +1,13 @@
-"""Tests of the wire runtime: windows, pieces, serializer, parser, spans."""
+"""Tests of the wire runtime: windows, serializer, parser, spans."""
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
 
+from repro.codegen import SpecializedCodec
 from repro.core import (
     Boundary,
     Endian,
@@ -13,9 +15,8 @@ from repro.core import (
     Message,
     ParseError,
     SerializationError,
-    ValueOp,
-    ValueOpKind,
     build_graph,
+    bytes_field,
     delimited_text,
     fixed_bytes,
     optional,
@@ -25,10 +26,14 @@ from repro.core import (
     tabular,
     uint,
 )
-from repro.wire import Chunk, LengthSlot, PieceList, WireCodec, Window, boundaries, serialize
-from repro.wire.parser import parse
+from repro.core.validate import validate_graph
+from repro.protocols import registry
+from repro.transforms import Obfuscator
+from repro.transforms.split import SplitAdd
+from repro.wire import WireCodec, Window, boundaries, serialize
+from repro.wire.parser import Parser, parse
 from repro.wire.window import OpenWindow
-from repro.wire.serializer import serialize_with_spans
+from repro.wire.serializer import Serializer, serialize_with_spans
 
 
 class TestWindow:
@@ -105,55 +110,153 @@ class TestWindow:
             window.read(1)
 
 
-class TestPieces:
-    def test_byte_length_counts_slots(self):
-        pieces = PieceList()
-        pieces.add_bytes(b"abc")
-        pieces.add_slot(LengthSlot(node="len", target="data", width=2))
-        assert pieces.byte_length() == 5
+def _registry_dialects():
+    """Every registry graph at levels 0-4 under two obfuscation seeds."""
+    for setup in registry.setups():
+        for direction, graph_factory, generator in setup.directions():
+            for level in range(5):
+                for seed in (1, 104729):
+                    graph = graph_factory()
+                    if level:
+                        graph = Obfuscator(seed=seed).obfuscate(graph, level).graph
+                    yield f"{setup.key}/{direction}/{level}/{seed}", graph, generator, seed
 
-    def test_empty_chunks_are_dropped(self):
-        pieces = PieceList()
-        pieces.add_bytes(b"")
-        assert pieces.pieces == []
 
-    def test_assemble_resolves_slots(self):
-        pieces = PieceList()
-        pieces.add_slot(LengthSlot(node="len", target="data", width=2, context=()))
-        pieces.add_bytes(b"abcd", node="data")
-        data, spans = pieces.assemble({("data", ()): 4})
-        assert data == b"\x00\x04abcd"
-        assert ("len", None, 0, 2) in spans
-        assert ("data", None, 2, 6) in spans
+#: SHA-256 of the serializer's output over :func:`_registry_dialects`,
+#: recorded before the serializer first wrote messages in place.
+SERIALIZER_DIGEST = "5767fb82f5d4d331cb0a8db98120439bd6bdb4f80e72a34cf281883861836cc0"
 
-    def test_assemble_missing_length_defaults_to_zero(self):
-        pieces = PieceList()
-        pieces.add_slot(LengthSlot(node="len", target="gone", width=2))
-        data, _ = pieces.assemble({})
-        assert data == b"\x00\x00"
 
-    def test_mirrored_reverses_bytes_and_toggles_slots(self):
-        pieces = PieceList()
-        pieces.add_bytes(b"ab")
-        pieces.add_slot(LengthSlot(node="len", target="data", width=2))
-        mirrored = pieces.mirrored()
-        assert isinstance(mirrored.pieces[0], LengthSlot)
-        assert mirrored.pieces[0].mirrored is True
-        assert mirrored.pieces[1].data == b"ba"
-        restored = mirrored.mirrored()
-        assert restored.pieces[0].data == b"ab"
-        assert restored.pieces[1].mirrored is False
+class TestSerializerDigest:
+    def test_bytes_and_spans_match_recorded_digest(self):
+        """Bytes and spans of every registry dialect, with plain serializes
+        interleaved on the same RNG, so random draws stay in step too."""
+        digest = hashlib.sha256()
+        for label, graph, generator, seed in _registry_dialects():
+            serializer = Serializer(graph, rng=Random(seed))
+            messages = Random(seed + int(label.split("/")[2]))
+            for index in range(12):
+                message = generator(messages)
+                digest.update(f"{label}/{index}".encode())
+                if index % 3 == 2:
+                    digest.update(serializer.serialize(message))
+                    continue
+                wire, spans = serializer.serialize_with_spans(message)
+                digest.update(wire)
+                for span in spans:
+                    digest.update(
+                        f"|{span.node}|{span.origin}|{span.start}|{span.end}".encode())
+        assert digest.hexdigest() == SERIALIZER_DIGEST
 
-    def test_slot_codec_chain_applied(self):
-        slot = LengthSlot(
-            node="len", target="data", width=2,
-            codec_chain=(ValueOp(ValueOpKind.ADD, 1, bytewise=False, width=2),),
-        )
-        assert slot.resolve(4) == b"\x00\x05"
 
-    def test_slot_mirrored_resolution(self):
-        slot = LengthSlot(node="len", target="data", width=2, mirrored=True)
-        assert slot.resolve(0x0102) == b"\x02\x01"
+def _shape(name: str, graph):
+    """``(name, validated graph)`` after ``graph`` was edited by hand."""
+    validate_graph(graph)
+    return name, graph
+
+
+def _mirror(graph, *names: str):
+    for name in names:
+        graph.find(name).mirrored = True
+    return graph
+
+
+def _split_graph(mirrored_share: int):
+    graph = build_graph(sequence("root", [uint("tid", 2), uint("unit", 1)]), "split")
+    SplitAdd().apply(graph, graph.find("tid"), Random(0))
+    share = graph.find("root").children[0].children[mirrored_share]
+    share.mirrored = True
+    return graph
+
+
+def _hand_built_shapes():
+    """Shapes the registry dialects may not reach, with their messages."""
+    region = sequence(
+        "body",
+        [uint("len", 1), bytes_field("data", Boundary.length("len")), uint("tail", 2)],
+        boundary=Boundary.end(),
+    )
+    yield _shape("mirrored length field and target", _mirror(
+        build_graph(sequence("root", [uint("kind", 1), region]), "mirror"), "body",
+    )), [{"kind": 1, "body": {"data": b"abcdef", "tail": 0x1234}},
+         {"kind": 2, "body": {"data": b"", "tail": 7}}]
+    inner = sequence("inner", [uint("a", 1), uint("b", 2)])
+    outer = sequence(
+        "outer",
+        [uint("len", 1), inner, bytes_field("data", Boundary.length("len")),
+         remaining_bytes("rest")],
+        boundary=Boundary.end(),
+    )
+    yield _shape("nested mirrors", _mirror(
+        build_graph(sequence("root", [uint("kind", 1), outer]), "nested"),
+        "inner", "outer", "data",
+    )), [{"kind": 1, "outer": {"inner": {"a": 1, "b": 0x0203}, "data": b"xyz",
+                               "rest": b"tail"}}]
+    for share in (0, 1):
+        yield _shape(f"mirrored split child {share}", _split_graph(share)), [
+            {"tid": 0x1234, "unit": 9}, {"tid": 0, "unit": 0}]
+    lines = repetition("lines", delimited_text("line", b"\n"),
+                       boundary=Boundary.delimited(b"\n"))
+    yield _shape("delimited repetition inside a mirrored region", _mirror(
+        build_graph(sequence("root", [
+            uint("len", 2),
+            sequence("region", [lines, uint("after", 1)],
+                     boundary=Boundary.length("len")),
+            remaining_bytes("rest"),
+        ]), "delimited"), "region",
+    )), [{"region": {"lines": ["a", "bb", "ccc"], "after": 5}, "rest": b"!"},
+         {"region": {"lines": [], "after": 0}, "rest": b""}]
+    yield _shape("length field of an absent optional", build_graph(sequence("root", [
+        uint("flag", 1),
+        uint("len", 1),
+        optional("opt", bytes_field("data", Boundary.length("len")),
+                 presence_ref="flag", presence_value=1),
+        uint("tail", 1),
+    ]), "absent")), [{"flag": 0, "tail": 3}, {"flag": 1, "opt": b"abc", "tail": 3}]
+    yield _shape("empty value", build_graph(sequence("root", [
+        uint("len", 1), bytes_field("data", Boundary.length("len")),
+        delimited_text("note", b";"), uint("tail", 1),
+    ]), "empty")), [{"data": b"", "note": "", "tail": 1}]
+
+
+HAND_BUILT = [(name, graph, messages) for (name, graph), messages in _hand_built_shapes()]
+
+
+class TestHandBuiltShapes:
+    @pytest.mark.parametrize("name,graph,messages", HAND_BUILT,
+                             ids=[case[0] for case in HAND_BUILT])
+    def test_bytes_match_specialized_tier_and_spans_stay_in_wire_order(
+            self, name, graph, messages):
+        specialized = SpecializedCodec(graph, seed=5)
+        plain = Serializer(graph, rng=Random(5))
+        spanned = Serializer(graph, rng=Random(5))
+        for message in messages:
+            wire = specialized.serialize(message)
+            assert plain.serialize(message) == wire
+            data, spans = spanned.serialize_with_spans(message)
+            assert data == wire
+            assert all(span.start < span.end for span in spans)
+            assert all(left.end <= right.start for left, right in zip(spans, spans[1:]))
+            assert Parser(graph).parse(wire) == message
+
+    def test_mirrored_region_spans_are_remapped(self):
+        (_, graph, messages), = [case for case in HAND_BUILT
+                                 if case[0] == "mirrored length field and target"]
+        data, spans = Serializer(graph).serialize_with_spans(messages[0])
+        assert data == b"\x01" + (b"\x06abcdef\x12\x34")[::-1]
+        assert [(span.node, span.start, span.end) for span in spans] == [
+            ("kind", 0, 1), ("tail", 1, 3), ("data", 3, 9), ("len", 9, 10)]
+
+    def test_length_of_an_absent_target_is_zero(self):
+        (_, graph, messages), = [case for case in HAND_BUILT
+                                 if case[0] == "length field of an absent optional"]
+        assert Serializer(graph).serialize(messages[0]) == b"\x00\x00\x03"
+
+    def test_empty_value_has_no_span(self):
+        (_, graph, messages), = [case for case in HAND_BUILT if case[0] == "empty value"]
+        data, spans = Serializer(graph).serialize_with_spans(messages[0])
+        assert data == b"\x00;\x01"
+        assert [span.node for span in spans] == ["len", "tail"]
 
 
 def _demo_graph():
