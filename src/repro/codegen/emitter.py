@@ -31,7 +31,7 @@ GENERATED_MARKER = "# === generated code (emitted per specification) ==="
 #: as ``__emitter_version__``; the loader refuses modules carrying a different
 #: version (a stale on-disk cache entry must be regenerated, never run).
 #: Bump whenever the emitted API or semantics change incompatibly.
-EMITTER_VERSION = "6"
+EMITTER_VERSION = "7"
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ class _ModuleEmitter:
             )
         self.lines.append("    sub = []")
         self.lines.append(
-            f"    shares = _split_values(ctx, {_path_literal(node.origin)}, "
+            f"    shares = _split_values(ctx, {node.name!r}, {_path_literal(node.origin)}, "
             f"{synthesis.op.value!r}, {synthesis.kind.value!r}, {synthesis.width!r}, "
             f"{node.split_at!r})"
         )

@@ -155,7 +155,15 @@ def _combine(op, kind, width, first, second):
     return first ^ second
 
 
-def _split_values(ctx, origin, op, kind, width, split_at):
+def _fit(what, name, value, width):
+    value = int(value)
+    if not 0 <= value < 1 << (8 * width):
+        raise GeneratedCodecError(
+            "%s %r: value %d does not fit in %d byte(s)" % (what, name, value, width))
+    return value
+
+
+def _split_values(ctx, name, origin, op, kind, width, split_at):
     value = _msg_get(ctx["message"], _resolve(origin, ctx["idx"]))
     if value is None:
         raise GeneratedCodecError("missing logical field %r" % (origin,))
@@ -166,7 +174,7 @@ def _split_values(ctx, origin, op, kind, width, split_at):
         cut = max(0, min(cut, len(data)))
         return data[:cut], data[cut:]
     modulus = 1 << (8 * width)
-    logical = int(value) % modulus
+    logical = _fit("synthesis node", name, value, width)
     share = rng.randrange(modulus)
     if op == "add":
         return share, (logical - share) % modulus
@@ -250,7 +258,7 @@ def _out_bytes(out, data):
 
 
 def _out_slot(out, name, target, width, endian, chain, context):
-    out.append({"target": target, "width": width, "endian": endian,
+    out.append({"name": name, "target": target, "width": width, "endian": endian,
                 "chain": chain, "mirrored": False, "context": context})
 
 
@@ -285,8 +293,9 @@ def _assemble(out, lengths):
     for piece in out:
         if isinstance(piece, dict):
             length = lengths.get((piece["target"], piece["context"]), 0)
+            length = _fit("terminal", piece["name"], length, piece["width"])
             value = _chain_apply(length, "uint", piece["chain"])
-            data = _enc_uint(value % (1 << (8 * piece["width"])), piece["width"], piece["endian"])
+            data = _enc_uint(value, piece["width"], piece["endian"])
             buffer += data[::-1] if piece["mirrored"] else data
         else:
             buffer += piece
@@ -317,6 +326,8 @@ def _terminal_ser(ctx, out, name, origin, kind, endian, chain, mirrored, pad,
             value = _msg_get(ctx["message"], _resolve(origin, ctx["idx"]))
             if value is None:
                 raise GeneratedCodecError("missing logical field %r" % (origin,))
+        if kind == "uint":
+            value = _fit("terminal", name, value, boundary[1])
         value = _chain_apply(value, kind, chain)
         size = boundary[1] if boundary[0] == "fixed" else None
         encoded = _enc_value(value, kind, size, endian)

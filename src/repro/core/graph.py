@@ -47,6 +47,10 @@ class FormatGraph:
         #: cache keys stamped graphs by this value, so two replays of one plan —
         #: in the same process or across processes — share one compiled plan slot.
         self.plan_fingerprint: str | None = None
+        #: ``(name -> node, referenced names)`` from ``validate.lookup_index``:
+        #: only the obfuscation engine's working clone carries it, between
+        #: validated steps.  On every other graph ``None``: lookups scan.
+        self.lookup_index: tuple[dict[str, Node], set[str]] | None = None
 
     # -- traversal and lookup -------------------------------------------------
 
@@ -64,7 +68,10 @@ class FormatGraph:
         return mapping
 
     def find(self, name: str) -> Node | None:
-        """Return the node called ``name`` or ``None``."""
+        """Return the node called ``name`` or ``None`` (from :attr:`lookup_index`
+        when the graph carries one, else by a scan)."""
+        if self.lookup_index is not None:
+            return self.lookup_index[0].get(name)
         for node in self.nodes():
             if node.name == name:
                 return node
@@ -100,7 +107,10 @@ class FormatGraph:
         return targets
 
     def is_ref_target(self, name: str) -> bool:
-        """True when some node's boundary or presence condition references ``name``."""
+        """True when some node's boundary or presence condition references ``name``
+        (from :attr:`lookup_index` when the graph carries one, else by a scan)."""
+        if self.lookup_index is not None:
+            return name in self.lookup_index[1]
         # A boundary carries ``ref`` only when it is LENGTH or COUNTER.
         for node in self.nodes():
             if node.boundary.ref == name or node.presence_ref == name:
@@ -115,8 +125,10 @@ class FormatGraph:
     # -- naming ----------------------------------------------------------------
 
     def fresh_name(self, prefix: str) -> str:
-        """Return a node name with the given prefix that is unused in the graph."""
-        existing = {node.name for node in self.nodes()}
+        """Return a node name with the given prefix that is unused in the graph
+        (checked against :attr:`lookup_index` when the graph carries one)."""
+        index = self.lookup_index
+        existing = index[0] if index is not None else {node.name for node in self.nodes()}
         while True:
             self._fresh_counter += 1
             candidate = f"{prefix}_{self._fresh_counter}"

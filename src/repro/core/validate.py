@@ -8,12 +8,18 @@ they are needed, derived fields must not clash with user data, ...).
 
 Both original specifications and transformed graphs are validated: every
 transformation is required to keep the graph valid, which is checked by the
-transformation engine and by the test suite.  The engine validates after every
-step, so one pre-order walk collects what the rules need and the rules then
-run over the collected node list.  Rule order decides which error a graph
-breaking several rules reports: duplicate names first, then the per-node rules
-node by node in pre-order, then shared LENGTH targets, then window layout,
-then the codec contract.
+transformation engine and by the test suite.  The engine validates the whole
+graph after every step, so validation is one pre-order walk (nodes, name
+positions, LENGTH/COUNTER targets) and two passes over its node list: a
+bottom-up pass computes subtree ends, static sizes and greedy flags, and a
+top-down pass runs the per-node rules, the window layout's tail flags and the
+codec contract's per-node checks.  Rule order decides which error a graph
+breaking several rules reports: duplicate names first, then the per-node
+rules node by node in pre-order, then shared LENGTH targets, then window
+layout, then the codec contract; the top-down pass raises a per-node error at
+once and holds the first window and contract errors until it ends.
+:func:`lookup_index` also returns what the walk collected, which the engine
+keeps on its working clone as :attr:`FormatGraph.lookup_index`.
 
 Every codec tier compiles only validated graphs
 (:func:`repro.wire.plan.compile_plan` and the specializer validate first), so
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 from .boundary import BoundaryKind
 from .errors import GraphError
-from .graph import FormatGraph, parse_window_known
+from .graph import FormatGraph
 from .node import Node, NodeType
 from .values import ValueKind
 
@@ -51,26 +57,93 @@ _VARIABLE_ARITY = (_REPETITION, _TABULAR, _OPTIONAL)
 
 def validate_graph(graph: FormatGraph) -> None:
     """Raise :class:`GraphError` when ``graph`` violates any structural rule."""
-    nodes, position, end, ref_targets, shared_length = _walk(graph)
+    lookup_index(graph)
+
+
+def lookup_index(graph: FormatGraph) -> tuple[dict[str, Node], set[str]]:
+    """Validate ``graph`` as :func:`validate_graph` does and return its lookup
+    index: every node name mapped to its node, in pre-order, and every name a
+    boundary or a presence condition references."""
+    nodes, position, ref_targets, shared_length = _walk(graph)
+    end, sizes, greedy = _bottom_up(nodes)
+    tail_allowed = [True] + [False] * (len(nodes) - 1)
+    window_error = contract_error = None
+    presences = []
+    origins = set()  # step tuples of every origin
+    values = []  # step tuples of terminal and synthesis origins
+    syntheses = []
     for index, node in enumerate(nodes):
-        _check_parent_links(node)
-        _check_type_shape(node)
-        _check_boundary_compatibility(node)
-        if node.type is _TERMINAL:
+        node_type = node.type
+        kind = node.boundary.kind
+        children = node.children
+        for child in children:
+            if child.parent is not node:
+                raise GraphError(f"node {child.name!r} has a stale parent link "
+                                 f"(expected {node.name!r})")
+        if node_type is _TERMINAL:
+            if children:
+                raise GraphError(f"terminal {node.name!r} cannot have children")
+            if kind not in _TERMINAL_BOUNDARIES:
+                raise GraphError(f"terminal {node.name!r} cannot use a {kind.value} boundary")
             _check_terminal_details(node, ref_targets)
+        elif node_type is _SEQUENCE:
+            if not children:
+                raise GraphError(f"sequence {node.name!r} must have at least one child")
+            if kind not in _SEQUENCE_BOUNDARIES:
+                raise GraphError(f"sequence {node.name!r} cannot use a {kind.value} boundary")
+        else:  # Optional, Repetition and Tabular wrap exactly one sub-node.
+            if len(children) != 1:
+                raise GraphError(f"{node_type.value} node {node.name!r} must have exactly "
+                                 f"one child, got {len(children)}")
+            if node_type is _OPTIONAL and kind is not _DELEGATED:
+                raise GraphError(f"optional {node.name!r} must use a delegated boundary")
+            if node_type is _REPETITION and kind not in _REPETITION_BOUNDARIES:
+                raise GraphError(f"repetition {node.name!r} cannot use a {kind.value} boundary")
+            if node_type is _TABULAR and kind is not _COUNTER:
+                raise GraphError(f"tabular {node.name!r} must use a counter boundary")
         # A boundary carries ``ref`` only when it is LENGTH or COUNTER.
-        if node.boundary.ref is not None or node.presence_ref is not None:
+        ref = node.boundary.ref
+        presence = node.presence_ref
+        refers = ref is not None or presence is not None
+        if refers:
             _check_references(graph, node, index, nodes, position, end)
+            if presence is not None:
+                presences.append(presence)
         if node.synthesis is not None or node.mirrored or node.codec_chain:
-            _check_obfuscation_metadata(node)
+            _check_obfuscation_metadata(node, sizes[index])
+        # Window layout: a greedy node must sit in tail position, or the parser
+        # would swallow what follows it.  Only a Sequence's last child and an
+        # Optional's child inherit the tail position; a node opening its own
+        # window (Length boundary, mirrored region) resets it for its children.
+        if greedy[index] and not tail_allowed[index] and window_error is None:
+            window_error = f"greedy node {node.name!r} is not in tail position of its window"
+        if node_type is _SEQUENCE or node_type is _OPTIONAL:
+            tail_allowed[position[children[-1].name]] = (
+                kind is _LENGTH or node.mirrored or tail_allowed[index]
+            )
+        origin = node.origin
+        if origin is not None:
+            steps = origin.steps
+            origins.add(steps)
+            if node_type is _TERMINAL:
+                values.append(steps)
+            elif node.synthesis is not None:
+                values.append(steps)
+                syntheses.append(node)
+        if contract_error is None and (origin is None or refers):
+            contract_error = _contract_error(node, ref_targets, nodes, position)
     if shared_length is not None:
         raise GraphError(shared_length)
-    _check_window_layout(nodes, position)
-    _check_codec_contract(nodes, position, ref_targets)
+    if window_error is not None:
+        raise GraphError(window_error)
+    if contract_error is not None:
+        raise GraphError(contract_error)
+    _check_codec_contract(nodes, origins, values, syntheses)
+    return dict(zip(position, nodes)), ref_targets.union(presences)
 
 
 def _walk(graph: FormatGraph):
-    """Pre-order nodes, name positions, subtree ends, LENGTH/COUNTER targets.
+    """Pre-order nodes, name positions and LENGTH/COUNTER targets.
 
     Also returns the error of the first terminal backing two LENGTH boundaries
     (counters may be shared), raised later in rule order.
@@ -99,57 +172,51 @@ def _walk(graph: FormatGraph):
                     )
         if node.children:
             stack.extend(reversed(node.children))
-    # end[i] is one past the last pre-order position of node i's subtree.
+    return nodes, position, ref_targets, shared_length
+
+
+def _bottom_up(nodes: list[Node]):
+    """Subtree ends, :func:`~repro.core.graph.static_size` and
+    :func:`~repro.core.graph.is_greedy` of the pre-order ``nodes``, children
+    first, on any tree the walk accepts.  ``end[i]`` is one past node ``i``'s
+    subtree, so its children sit at ``i + 1``, ``end[i + 1]``, ..."""
     end = list(range(1, len(nodes) + 1))
+    sizes: list[int | None] = [None] * len(nodes)
+    greedy = [False] * len(nodes)
     for index in range(len(nodes) - 1, -1, -1):
-        children = nodes[index].children
-        if children:
-            end[index] = end[position[children[-1].name]]
-    return nodes, position, end, ref_targets, shared_length
+        node = nodes[index]
+        node_type = node.type
+        kind = node.boundary.kind
+        open_ended = kind is _END or kind is _DELEGATED  # can take a window's rest
+        child = index + 1
+        if node_type is _SEQUENCE:
+            size, any_greedy = 0, False
+            for _ in node.children:
+                child_size = sizes[child]
+                size = None if size is None or child_size is None else size + child_size
+                any_greedy = any_greedy or greedy[child]
+                child = end[child]
+            sizes[index] = None if kind is _FIXED and node.boundary.size != size else size
+            greedy[index] = open_ended and any_greedy
+        else:
+            for _ in node.children:
+                child = end[child]
+            if node_type is _TERMINAL:
+                sizes[index] = node.boundary.size if kind is _FIXED else None
+                greedy[index] = open_ended
+            elif node_type is _REPETITION:
+                greedy[index] = kind is _END
+            elif node_type is _OPTIONAL:  # its first child follows it in pre-order
+                greedy[index] = open_ended and (
+                    node.presence_ref is None or (child > index + 1 and greedy[index + 1])
+                )
+        end[index] = child
+    return end, sizes, greedy
 
 
 # ---------------------------------------------------------------------------
 # individual rules
 # ---------------------------------------------------------------------------
-
-
-def _check_parent_links(node: Node) -> None:
-    for child in node.children:
-        if child.parent is not node:
-            raise GraphError(
-                f"node {child.name!r} has a stale parent link (expected {node.name!r})"
-            )
-
-
-def _check_type_shape(node: Node) -> None:
-    if node.type is _TERMINAL:
-        if node.children:
-            raise GraphError(f"terminal {node.name!r} cannot have children")
-        return
-    if node.type is _SEQUENCE:
-        if not node.children:
-            raise GraphError(f"sequence {node.name!r} must have at least one child")
-        return
-    # Optional, Repetition and Tabular wrap exactly one sub-node.
-    if len(node.children) != 1:
-        raise GraphError(
-            f"{node.type.value} node {node.name!r} must have exactly one child, "
-            f"got {len(node.children)}"
-        )
-
-
-def _check_boundary_compatibility(node: Node) -> None:
-    kind = node.boundary.kind
-    if node.type is _TERMINAL and kind not in _TERMINAL_BOUNDARIES:
-        raise GraphError(f"terminal {node.name!r} cannot use a {kind.value} boundary")
-    if node.type is _SEQUENCE and kind not in _SEQUENCE_BOUNDARIES:
-        raise GraphError(f"sequence {node.name!r} cannot use a {kind.value} boundary")
-    if node.type is _OPTIONAL and kind is not _DELEGATED:
-        raise GraphError(f"optional {node.name!r} must use a delegated boundary")
-    if node.type is _REPETITION and kind not in _REPETITION_BOUNDARIES:
-        raise GraphError(f"repetition {node.name!r} cannot use a {kind.value} boundary")
-    if node.type is _TABULAR and kind is not _COUNTER:
-        raise GraphError(f"tabular {node.name!r} must use a counter boundary")
 
 
 def _check_terminal_details(node: Node, ref_targets: set[str]) -> None:
@@ -180,7 +247,9 @@ def _check_terminal_details(node: Node, ref_targets: set[str]) -> None:
 
 def _check_references(graph: FormatGraph, node: Node, index: int, nodes: list[Node],
                       position: dict[str, int], end: list[int]) -> None:
-    for ref in node.referenced_names():
+    for ref in (node.boundary.ref, node.presence_ref):
+        if ref is None:
+            continue
         target_index = position.get(ref)
         if target_index is None:
             raise GraphError(f"node {node.name!r} references unknown node {ref!r}")
@@ -207,7 +276,9 @@ def _check_references(graph: FormatGraph, node: Node, index: int, nodes: list[No
             ancestor = ancestor.parent
 
 
-def _check_obfuscation_metadata(node: Node) -> None:
+def _check_obfuscation_metadata(node: Node, size: int | None) -> None:
+    """Synthesis, mirroring and codec-chain rules; ``size`` is the node's static
+    size, which decides :func:`~repro.core.graph.parse_window_known`."""
     if node.synthesis is not None:
         if node.type is not _SEQUENCE:
             raise GraphError(f"synthesis node {node.name!r} must be a sequence")
@@ -229,7 +300,7 @@ def _check_obfuscation_metadata(node: Node) -> None:
     if node.mirrored:
         if node.boundary.kind is _DELIMITED:
             raise GraphError(f"mirrored node {node.name!r} cannot use a delimited boundary")
-        if not parse_window_known(node):
+        if node.boundary.kind not in (_FIXED, _LENGTH, _END) and size is None:
             raise GraphError(
                 f"mirrored node {node.name!r} has no parse-time determinable extent"
             )
@@ -254,57 +325,46 @@ def _check_obfuscation_metadata(node: Node) -> None:
                 )
 
 
-def _greedy_flags(nodes: list[Node], position: dict[str, int]) -> list[bool]:
-    """:func:`~repro.core.graph.is_greedy` of every node, children before parents."""
-    greedy = [False] * len(nodes)
-    for index in range(len(nodes) - 1, -1, -1):
-        node = nodes[index]
-        kind = node.boundary.kind
-        if kind is _FIXED or kind is _LENGTH or kind is _DELIMITED or kind is _COUNTER:
-            continue
-        if node.type is _TERMINAL:
-            greedy[index] = True  # END-bounded terminal
-        elif node.type is _REPETITION:
-            greedy[index] = kind is _END
-        elif node.type is _OPTIONAL:  # its one child follows it in pre-order
-            greedy[index] = node.presence_ref is None or greedy[index + 1]
-        elif node.type is not _TABULAR:
-            # Sequence with a DELEGATED or END boundary: greedy when any child is.
-            greedy[index] = any(greedy[position[child.name]] for child in node.children)
-    return greedy
-
-
-def _check_window_layout(nodes: list[Node], position: dict[str, int]) -> None:
-    """Greedy nodes (END/remaining-bytes semantics) must sit in tail position.
-
-    A node whose parsing consumes the rest of its enclosing window (END
-    terminals and repetitions, presence-less Optionals, sequences containing
-    one) must not be followed by any sibling content in the same window,
-    otherwise the parser would swallow that content.  Nodes that open their
-    own window (Length boundary, mirrored regions) reset the rule for their
-    children.  Tail flags flow top-down, so the first offender in pre-order
-    is reported.
-    """
-    greedy = _greedy_flags(nodes, position)
-    tail_allowed = [True] + [False] * (len(nodes) - 1)
-    for index, node in enumerate(nodes):
-        if greedy[index] and not tail_allowed[index]:
-            raise GraphError(
-                f"greedy node {node.name!r} is not in tail position of its window"
+def _contract_error(node: Node, ref_targets: set[str], nodes: list[Node],
+                    position: dict[str, int]) -> str | None:
+    """The first of the per-node rules of :func:`_check_codec_contract` that
+    ``node`` breaks, if any."""
+    if node.origin is None:
+        if node.type is _REPETITION or node.type is _TABULAR:
+            return f"{node.type.value} node {node.name!r} must carry a logical origin"
+        if (node.type is _TERMINAL and not node.is_pad
+                and node.name not in ref_targets
+                and (node.parent is None or node.parent.synthesis is None)):
+            return (
+                f"terminal {node.name!r} must carry a logical origin: it is no "
+                f"pad, length/counter field or synthesis child"
             )
-        # Only a Sequence's last child and an Optional's child inherit the
-        # tail position: elements of a Repetition or Tabular never do, since
-        # another element (or the terminator) may follow the current one.
-        if node.type is _SEQUENCE or node.type is _OPTIONAL:
-            opens_window = node.boundary.kind is _LENGTH or node.mirrored
-            tail_allowed[position[node.children[-1].name]] = (
-                opens_window or tail_allowed[index]
+    ref = node.boundary.ref
+    if ref is not None:
+        # A reference target precedes the node, so it is never the root.
+        holder = nodes[position[ref]].parent
+        if holder.synthesis is not None and (
+                node.boundary.kind is not _LENGTH or node.parent is not holder):
+            return (
+                f"synthesis child {ref!r} of {holder.name!r} may be referenced "
+                f"only by a sibling's length boundary, not by {node.name!r}"
             )
+    presence = node.presence_ref
+    if (presence is not None and node.type is _OPTIONAL
+            and nodes[position[presence]].origin is None):
+        return (
+            f"presence reference {presence!r} of optional {node.name!r} must "
+            f"carry a logical origin"
+        )
+    return None
 
 
-def _check_codec_contract(nodes: list[Node], position: dict[str, int],
-                          ref_targets: set[str]) -> None:
+def _check_codec_contract(nodes: list[Node], origins: set, values: list,
+                          syntheses: list[Node]) -> None:
     """Where the codecs find every value, checked after every other rule.
+
+    The top-down pass checks the first four per node (:func:`_contract_error`)
+    and collects the origins this function checks the last two on.
 
     * Repetitions and tabulars carry a logical origin: their element list.
     * Every terminal carries one unless it is padding, a length/counter
@@ -325,48 +385,6 @@ def _check_codec_contract(nodes: list[Node], position: dict[str, int],
     The last two run after the others, so a graph breaking an older rule
     keeps reporting it.
     """
-    origins = set()  # step tuples of every origin
-    values = []  # step tuples of terminal and synthesis origins
-    syntheses = []
-    for node in nodes:
-        origin = node.origin
-        if origin is None:
-            if node.type is _REPETITION or node.type is _TABULAR:
-                raise GraphError(
-                    f"{node.type.value} node {node.name!r} must carry a logical origin"
-                )
-            if (node.type is _TERMINAL and not node.is_pad
-                    and node.name not in ref_targets
-                    and (node.parent is None or node.parent.synthesis is None)):
-                raise GraphError(
-                    f"terminal {node.name!r} must carry a logical origin: it is no "
-                    f"pad, length/counter field or synthesis child"
-                )
-        else:
-            steps = origin.steps
-            origins.add(steps)
-            if node.type is _TERMINAL:
-                values.append(steps)
-            elif node.synthesis is not None:
-                values.append(steps)
-                syntheses.append(node)
-        ref = node.boundary.ref
-        if ref is not None:
-            # A reference target precedes the node, so it is never the root.
-            holder = nodes[position[ref]].parent
-            if holder.synthesis is not None and (
-                    node.boundary.kind is not _LENGTH or node.parent is not holder):
-                raise GraphError(
-                    f"synthesis child {ref!r} of {holder.name!r} may be referenced "
-                    f"only by a sibling's length boundary, not by {node.name!r}"
-                )
-        presence = node.presence_ref
-        if (presence is not None and node.type is _OPTIONAL
-                and nodes[position[presence]].origin is None):
-            raise GraphError(
-                f"presence reference {presence!r} of optional {node.name!r} must "
-                f"carry a logical origin"
-            )
     for node in syntheses:
         for child in node.children:
             if child.is_pad:

@@ -87,10 +87,10 @@ class Transformation(ABC):
         a skipped application).
 
         Subclasses overriding ``apply`` directly are automatically wrapped
-        (see ``__init_subclass__``) to drop the graph's cached codec plan
-        after the rewrite; the default implementation invalidates through
-        :meth:`replay`.  Such subclasses do not support deterministic replay
-        unless they also implement :meth:`_replay`.
+        (see ``__init_subclass__``) to drop the graph's lookup index before
+        the rewrite and its cached codec plan after it, as :meth:`replay`
+        does.  Such subclasses do not support deterministic replay unless
+        they also implement :meth:`_replay`.
         """
         record = self.draw(graph, node, rng)
         self.replay(graph, record)
@@ -115,9 +115,10 @@ class Transformation(ABC):
         """Deterministically re-apply a recorded transformation in place.
 
         Resolves the record's target node and hands off to :meth:`_replay`.
-        The graph's cached codec plan is dropped afterwards — same hazard as
-        ``apply``: an in-place rewrite would otherwise leave codecs executing
-        against the pre-transformation plan.
+        The graph's lookup index is dropped before the rewrite and its
+        cached codec plan afterwards — same hazard as ``apply``: an in-place
+        rewrite would otherwise leave codecs executing against the
+        pre-transformation plan.
         """
         if record.transformation != self.name:
             raise TransformError(
@@ -131,6 +132,7 @@ class Transformation(ABC):
                 f"named {record.target!r} (wrong source graph or out-of-order "
                 f"replay?)"
             )
+        graph.lookup_index = None
         try:
             self._replay(graph, node, record)
         finally:
@@ -153,6 +155,7 @@ class Transformation(ABC):
         @functools.wraps(original)
         def apply_and_invalidate(self, graph: FormatGraph, node: Node,
                                  rng: Random) -> TransformationRecord:
+            graph.lookup_index = None
             try:
                 return original(self, graph, node, rng)
             finally:

@@ -9,6 +9,12 @@ parameter of the evaluation).
 Because transformations create new nodes, later passes operate on a larger
 graph, which reproduces the super-linear growth of the number of applied
 transformations reported in Tables III and IV.
+
+The engine validates its private clone in full after every step and keeps
+the lookup index that :func:`~repro.core.validate.lookup_index` returns on it
+until the next rewrite: the sweeps' ``find`` and the transformations'
+``is_ref_target`` and ``fresh_name`` answer from it without a scan.  The
+index is dropped before a result is returned.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from random import Random
 
 from ..core.errors import NotApplicableError, TransformError
 from ..core.graph import FormatGraph
-from ..core.validate import validate_graph
+from ..core.validate import lookup_index
 from .base import Transformation, TransformationRecord
 from .plan import ObfuscationPlan, extract_plan
 from .registry import default_transformations
@@ -95,6 +101,7 @@ class Obfuscator:
         result = ObfuscationResult(original=graph, graph=working, passes=passes)
         for _ in range(passes):
             self._run_pass(working, result.records)
+        working.lookup_index = None
         return result
 
     def obfuscate_node_budget(self, graph: FormatGraph, budget: int) -> ObfuscationResult:
@@ -107,28 +114,24 @@ class Obfuscator:
         """
         working = graph.clone()
         result = ObfuscationResult(original=graph, graph=working, passes=0)
-        applied = True
-        while applied and len(result.records) < budget:
-            applied = False
-            for name in [node.name for node in working.nodes()]:
-                if len(result.records) >= budget:
-                    break
-                node = working.find(name)
-                if node is None:
-                    continue
-                record = self._apply_random(working, node)
-                if record is not None:
-                    result.records.append(record)
-                    applied = True
-            if applied:
-                result.passes += 1
+        while (len(result.records) < budget
+               and self._run_pass(working, result.records, budget)):
+            result.passes += 1
+        working.lookup_index = None
         return result
 
     # -- internals ------------------------------------------------------------
 
-    def _run_pass(self, graph: FormatGraph, records: list[TransformationRecord]) -> None:
-        snapshot = [node.name for node in graph.nodes()]
+    def _run_pass(self, graph: FormatGraph, records: list[TransformationRecord],
+                  budget: int | None = None) -> bool:
+        """Visit every node present at the start of the pass, until ``records``
+        holds ``budget`` records; True when a transformation applied."""
+        index = graph.lookup_index
+        snapshot = list(index[0]) if index is not None else [n.name for n in graph.nodes()]
+        applied = False
         for name in snapshot:
+            if budget is not None and len(records) >= budget:
+                break
             node = graph.find(name)
             if node is None:
                 # The node was replaced by an earlier transformation of this pass.
@@ -136,6 +139,8 @@ class Obfuscator:
             record = self._apply_random(graph, node)
             if record is not None:
                 records.append(record)
+                applied = True
+        return applied
 
     def _apply_random(self, graph: FormatGraph, node) -> TransformationRecord | None:
         applicable = [
@@ -153,8 +158,8 @@ class Obfuscator:
         except NotApplicableError:
             return None
         try:
-            validate_graph(graph)
-        except Exception as exc:  # pragma: no cover - guards against transform bugs
+            graph.lookup_index = lookup_index(graph)
+        except Exception as exc:
             raise TransformError(
                 f"transformation {transformation.name} left the graph invalid: {exc}"
             ) from exc

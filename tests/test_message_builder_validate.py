@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import (
     Boundary,
+    BoundaryKind,
     FieldPath,
     GraphError,
     Message,
@@ -33,8 +34,8 @@ from repro.core import (
     validate_graph,
 )
 from repro.core.builder import assign_origins
-from repro.core.graph import FormatGraph, is_greedy
-from repro.core.validate import _greedy_flags, _walk
+from repro.core.graph import FormatGraph, is_greedy, parse_window_known, static_size
+from repro.core.validate import _bottom_up, _walk
 from repro.protocols import registry
 from repro.transforms import Obfuscator
 
@@ -648,5 +649,47 @@ class TestValidationCorpus:
                 for seed in range(3):
                     graph = Obfuscator(seed=seed).obfuscate(
                         setup.reference_graph(direction), 2).graph
-                    nodes, position, *_ = _walk(graph)
-                    assert _greedy_flags(nodes, position) == [is_greedy(n) for n in nodes]
+                    nodes, *_ = _walk(graph)
+                    _, _, greedy = _bottom_up(nodes)
+                    assert greedy == [is_greedy(n) for n in nodes]
+
+
+class TestBottomUpPass:
+    """The validator's bottom-up pass gives what the recursive predicates it
+    replaces give, on the corpus of :class:`TestValidationCorpus`."""
+
+    def test_sizes_and_greedy_flags_match_the_recursive_predicates(self):
+        checked = 0
+        for setup in registry.setups():
+            for direction, _, _ in setup.directions():
+                for level in range(4):
+                    for seed in range(6):
+                        graph = Obfuscator(seed=seed).obfuscate(
+                            setup.reference_graph(direction), level).graph
+                        rng = Random(f"{setup.key}/{direction}/{level}/{seed}")
+                        for candidate in [graph] + [_mutate(graph, rng) for _ in range(40)]:
+                            checked += _check_bottom_up(candidate)
+        assert checked > 100_000
+
+
+def _check_bottom_up(graph: FormatGraph) -> int:
+    """Compare the bottom-up pass with the predicates on every node of
+    ``graph``; returns the number of nodes compared."""
+    try:
+        nodes, *_ = _walk(graph)
+    except GraphError:
+        return 0  # a duplicate name: the walk stops before any pass
+    end, sizes, greedy = _bottom_up(nodes)
+    for index, node in enumerate(nodes):
+        assert end[index] == index + len(list(node.iter_subtree()))
+        assert sizes[index] == static_size(node)
+        kind = node.boundary.kind
+        assert parse_window_known(node) == (
+            kind in (BoundaryKind.FIXED, BoundaryKind.LENGTH, BoundaryKind.END)
+            or sizes[index] is not None)
+        try:
+            expected = is_greedy(node)
+        except IndexError:  # an optional that lost its child
+            continue
+        assert greedy[index] == expected
+    return len(nodes)

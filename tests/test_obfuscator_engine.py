@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from random import Random
 
 import pytest
 
-from repro.core import Message, TransformError, validate_graph
+from repro.core import (
+    Boundary,
+    GraphError,
+    Message,
+    Node,
+    NodeType,
+    TransformError,
+    ValueKind,
+    validate_graph,
+)
+from repro.core.builder import build_graph, bytes_field, sequence, uint
 from repro.protocols import http, modbus, registry
-from repro.transforms import Obfuscator, family, obfuscate
+from repro.transforms import Obfuscator, Transformation, family, obfuscate
 from repro.wire import WireCodec
 
 
@@ -161,3 +172,130 @@ class TestObfuscatedRoundTrips:
         except Exception:
             return  # rejecting the buffer outright is the expected common case
         assert parsed != message
+
+
+class _ReusesAName(Transformation):
+    """Appends to the root a pad named like the root's first child."""
+
+    name = "ReusesAName"
+
+    def is_applicable(self, graph, node):
+        return node is graph.root
+
+    def draw(self, graph, node, rng):
+        return self.record(node, created=(node.children[0].name,))
+
+    def _replay(self, graph, node, record):
+        node.add_child(Node(record.created[0], NodeType.TERMINAL, Boundary.fixed(1),
+                            value_kind=ValueKind.BYTES, is_pad=True))
+
+
+class _RepointsALength(Transformation):
+    """Applied to ``tail``, re-points the LENGTH boundary of ``data``, outside
+    the target's subtree, to ``tail``, which is serialized after ``data``."""
+
+    name = "RepointsALength"
+
+    def is_applicable(self, graph, node):
+        return node.name == "tail"
+
+    def draw(self, graph, node, rng):
+        return self.record(node)
+
+    def _replay(self, graph, node, record):
+        graph.require("data").boundary = Boundary.length(node.name)
+
+
+class TestPerStepValidation:
+    """The engine validates the whole graph after every step and names the
+    transformation that left it invalid."""
+
+    @pytest.mark.parametrize("transformation, root, message", [
+        (_ReusesAName, sequence("root", [uint("a", 1), uint("b", 1)]),
+         "duplicate node name 'a' in graph 'demo'"),
+        (_RepointsALength, sequence("root", [
+            uint("len", 1), bytes_field("data", Boundary.length("len")), uint("tail", 1)]),
+         "node 'data' references 'tail' which is serialized after it"),
+    ], ids=["reused-name", "length-outside-the-target"])
+    def test_an_invalid_step_names_its_transformation(self, transformation, root, message):
+        graph = build_graph(root, "demo")
+        expected = f"transformation {transformation.name} left the graph invalid: {message}"
+        with pytest.raises(TransformError, match=f"^{re.escape(expected)}$") as caught:
+            Obfuscator([transformation()], seed=0).obfuscate(graph, 1)
+        assert isinstance(caught.value.__cause__, GraphError)
+        assert str(caught.value.__cause__) == message
+
+
+def _lookups(graph, names, prefixes):
+    """``find``, ``is_ref_target`` and ``fresh_name`` answers; ``fresh_name``
+    counts from 0, so its candidates meet the names made early on, and the
+    counter is put back afterwards."""
+    counter = graph._fresh_counter
+    graph._fresh_counter = 0
+    fresh = [graph.fresh_name(prefix) for prefix in prefixes]
+    graph._fresh_counter = counter
+    return ([id(graph.find(name)) for name in names],
+            [graph.is_ref_target(name) for name in names],
+            fresh)
+
+
+class _IndexCheckingObfuscator(Obfuscator):
+    """After every engine step, compares the lookup index's answers with the
+    answers of the scans it replaces."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = 0
+        self.names: dict[str, None] = {"no_such_node": None}
+
+    def _apply_random(self, graph, node):
+        record = super()._apply_random(graph, node)
+        index = graph.lookup_index
+        if index is None:  # no step has been validated yet
+            return record
+        present = [each.name for each in graph.nodes()]
+        assert list(index[0]) == present
+        self.names.update(dict.fromkeys(present))
+        names = list(self.names)
+        prefixes = list(dict.fromkeys(name.rsplit("_", 1)[0] for name in present))
+        indexed = _lookups(graph, names, prefixes)
+        graph.lookup_index = None
+        scanned = _lookups(graph, names, prefixes)
+        graph.lookup_index = index
+        assert indexed == scanned
+        self.checked += 1
+        return record
+
+
+class TestLookupIndex:
+    """The lookup index of the engine's working clone answers as scans do,
+    and no graph keeps one once a derivation returns."""
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_the_index_answers_as_a_scan_at_every_step(self, level):
+        for setup in registry.setups():
+            for direction, _, _ in setup.directions():
+                for seed in range(5):
+                    obfuscator = _IndexCheckingObfuscator(seed=seed)
+                    result = obfuscator.obfuscate(setup.reference_graph(direction), level)
+                    assert obfuscator.checked >= result.applied_count
+                    plain = Obfuscator(seed=seed).obfuscate(setup.reference_graph(direction), level)
+                    assert result.plan().fingerprint == plain.plan().fingerprint
+
+    def test_no_graph_keeps_an_index(self):
+        original = modbus.request_graph()
+        runs = (Obfuscator(seed=1).obfuscate(original, 2),
+                Obfuscator(seed=1).obfuscate_node_budget(original, 25))
+        for result in runs:
+            graph = result.graph
+            replayed = result.plan().replay(original)
+            assert graph.lookup_index is None
+            assert original.lookup_index is None and replayed.lookup_index is None
+            node = next(each for each in graph.nodes() if each.is_terminal)
+            old_name = node.name
+            node.name = "renamed_by_hand"
+            assert graph.find("renamed_by_hand") is node
+            assert graph.find(old_name) is None
+            graph.root.add_child(Node("added_by_hand", NodeType.TERMINAL, Boundary.fixed(1),
+                                      value_kind=ValueKind.BYTES, is_pad=True))
+            assert graph.require("added_by_hand").parent is graph.root
