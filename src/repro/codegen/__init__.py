@@ -10,7 +10,6 @@ modules are shared per dialect fingerprint through :mod:`.cache`.
 
 from .cache import (
     cached_module,
-    cached_module_count,
     clear_module_cache,
     module_cache_stats,
     module_fingerprint,
@@ -33,7 +32,6 @@ __all__ = [
     "SpecializedCodec",
     "accessor_suffix",
     "cached_module",
-    "cached_module_count",
     "check_module_version",
     "clear_module_cache",
     "generate_module",

@@ -243,8 +243,3 @@ def clear_module_cache() -> None:
     _PENDING.clear()
     for key in _CACHE_STATS:
         _CACHE_STATS[key] = 0
-
-
-def cached_module_count() -> int:
-    """Number of loaded modules held by the in-process cache."""
-    return len(_MODULE_CACHE)

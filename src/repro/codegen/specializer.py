@@ -33,7 +33,9 @@ raises with the interpreted tier's exact text (and, for
 translates failures, and, when the graph has pads, ``draw_pad``.
 
 Only valid graphs are compiled: :func:`generate_specialized_module` runs
-:func:`repro.core.validate.validate_graph` first.  So every uint is a
+:func:`repro.core.validate.lookup_index` first, and the emitter reads its
+node order, length/counter maps and static sizes from the record that
+returns.  So every uint is a
 fixed-size terminal whose chain folds into integer steps, every bytes/text
 chain folds into one translation table, every LENGTH/COUNTER or presence
 reference names a terminal parsed before it is read, every repeated node
@@ -48,14 +50,9 @@ from ..core.errors import CodegenError
 from ..core.fieldpath import INDEX, FieldPath
 from ..core.graph import FormatGraph
 from ..core.node import Node, NodeType
-from ..core.validate import validate_graph
+from ..core.validate import GraphIndex, lookup_index
 from ..core.values import SynthesisOp, ValueKind, ValueOp
-from ..wire.plan import (
-    _byte_tables,
-    _compute_static_sizes,
-    _int_chain_steps,
-    _reference_maps,
-)
+from ..wire.plan import _byte_tables, _int_chain_steps
 from .emitter import EMITTER_VERSION
 
 _UINT_FMT = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -102,20 +99,22 @@ class _Win:
 class _SpecEmitter:
     """Builds the specialized module source for one format graph."""
 
-    def __init__(self, graph: FormatGraph, *, plan_fingerprint: str | None = None):
+    def __init__(self, graph: FormatGraph, index: GraphIndex, *,
+                 plan_fingerprint: str | None = None):
         self.graph = graph
         self.fingerprint = (
             plan_fingerprint if plan_fingerprint is not None
             else getattr(graph, "plan_fingerprint", None)
         )
-        self.nodes = list(graph.nodes())
-        self.index = {node.name: i for i, node in enumerate(self.nodes)}
-        self.node_map = {node.name: node for node in self.nodes}
-        self.length_sources, self.counter_sources = _reference_maps(self.nodes)
+        self.nodes = index.nodes
+        self.position = {name: i for i, name in enumerate(index.by_name)}
+        self.node_map = index.by_name
+        self.length_sources = index.length_sources
+        self.counter_sources = index.counter_sources
         self.length_targets = frozenset(
             node.name for node in self.length_sources.values())
         self.ref_targets = frozenset(self.length_sources) | frozenset(self.counter_sources)
-        self.static_sizes = _compute_static_sizes(graph.root)
+        self.static_sizes = index.static_sizes
         # -- emission state ---------------------------------------------------
         self.cur: list[str] = []
         self.ind = 0
@@ -143,7 +142,7 @@ class _SpecEmitter:
 
     def vvar(self, name: str) -> str:
         """The local variable holding the decoded value of terminal ``name``."""
-        return f"v{self.index[name]}"
+        return f"v{self.position[name]}"
 
     # -- constants ------------------------------------------------------------
 
@@ -532,7 +531,7 @@ class _SpecEmitter:
         elif kind is BoundaryKind.END:
             size_expr = f"{st.end} - {st.off}"
         else:
-            size_expr = str(self.static_sizes[node.name])
+            size_expr = str(self.static_sizes[self.position[node.name]])
         if kind is not BoundaryKind.END:
             self._p_fixed_guard(st, size_expr, None)
         buf = self.var("r")
@@ -1300,5 +1299,5 @@ def generate_specialized_module(graph: FormatGraph, *,
     and node identity.  ``graph`` is validated first: an invalid graph raises
     the validator's :class:`~repro.core.errors.GraphError`.
     """
-    validate_graph(graph)
-    return _SpecEmitter(graph, plan_fingerprint=plan_fingerprint).emit()
+    index = lookup_index(graph)
+    return _SpecEmitter(graph, index, plan_fingerprint=plan_fingerprint).emit()

@@ -10,11 +10,14 @@ cloning and structural statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .boundary import BoundaryKind
 from .errors import GraphError
 from .node import Node, NodeType
+
+if TYPE_CHECKING:
+    from .validate import GraphIndex
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,10 @@ class FormatGraph:
         #: cache keys stamped graphs by this value, so two replays of one plan —
         #: in the same process or across processes — share one compiled plan slot.
         self.plan_fingerprint: str | None = None
-        #: ``(name -> node, referenced names)`` from ``validate.lookup_index``:
-        #: only the obfuscation engine's working clone carries it, between
-        #: validated steps.  On every other graph ``None``: lookups scan.
-        self.lookup_index: tuple[dict[str, Node], set[str]] | None = None
+        #: What ``validate.lookup_index`` returned: only the obfuscation
+        #: engine's working clone carries it, between validated steps.  On
+        #: every other graph ``None``: lookups scan.
+        self.lookup_index: GraphIndex | None = None
 
     # -- traversal and lookup -------------------------------------------------
 
@@ -71,7 +74,7 @@ class FormatGraph:
         """Return the node called ``name`` or ``None`` (from :attr:`lookup_index`
         when the graph carries one, else by a scan)."""
         if self.lookup_index is not None:
-            return self.lookup_index[0].get(name)
+            return self.lookup_index.by_name.get(name)
         for node in self.nodes():
             if node.name == name:
                 return node
@@ -110,7 +113,7 @@ class FormatGraph:
         """True when some node's boundary or presence condition references ``name``
         (from :attr:`lookup_index` when the graph carries one, else by a scan)."""
         if self.lookup_index is not None:
-            return name in self.lookup_index[1]
+            return name in self.lookup_index.referenced
         # A boundary carries ``ref`` only when it is LENGTH or COUNTER.
         for node in self.nodes():
             if node.boundary.ref == name or node.presence_ref == name:
@@ -128,7 +131,7 @@ class FormatGraph:
         """Return a node name with the given prefix that is unused in the graph
         (checked against :attr:`lookup_index` when the graph carries one)."""
         index = self.lookup_index
-        existing = index[0] if index is not None else {node.name for node in self.nodes()}
+        existing = index.by_name if index is not None else {node.name for node in self.nodes()}
         while True:
             self._fresh_counter += 1
             candidate = f"{prefix}_{self._fresh_counter}"
@@ -231,12 +234,16 @@ def is_greedy(node: Node) -> bool:
     """True when parsing ``node`` consumes the rest of its enclosing window.
 
     Greedy nodes (END-bounded terminals and repetitions, Optionals whose
-    presence is decided by "bytes remain", and sequences containing such a
-    node) can only appear in tail position: anything serialized after them in
-    the same window would be swallowed during parsing.  The window-layout
-    validation rule and the ordering transformations rely on this predicate.
+    presence is decided by "bytes remain", sequences containing such a node,
+    and mirrored END-bounded nodes) can only appear in tail position: anything
+    serialized after them in the same window would be swallowed during
+    parsing.  A mirrored node's extracted region, not its children, decides
+    how far it reads.  The window-layout validation rule and the ordering
+    transformations rely on this predicate.
     """
     kind = node.boundary.kind
+    if node.mirrored:
+        return kind is BoundaryKind.END
     if kind in (
         BoundaryKind.FIXED,
         BoundaryKind.LENGTH,

@@ -18,15 +18,19 @@ breaking several rules reports: duplicate names first, then the per-node
 rules node by node in pre-order, then shared LENGTH targets, then window
 layout, then the codec contract; the top-down pass raises a per-node error at
 once and holds the first window and contract errors until it ends.
-:func:`lookup_index` also returns what the walk collected, which the engine
-keeps on its working clone as :attr:`FormatGraph.lookup_index`.
 
-Every codec tier compiles only validated graphs
-(:func:`repro.wire.plan.compile_plan` and the specializer validate first), so
-what the rules exclude no tier re-checks per message.
+:func:`lookup_index` also returns what the walk and the bottom-up pass hold,
+as a :class:`GraphIndex`: the only place where the codecs' structural facts
+about a graph are worked out.  The engine keeps it on its working clone as
+:attr:`FormatGraph.lookup_index`; :func:`repro.wire.plan.compile_plan` and the
+specializer compile from it (so every codec tier compiles only validated
+graphs, and what the rules exclude no tier re-checks per message), and the
+plan's ``self_framing`` flag, which framing reads, is its root greedy flag.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .boundary import BoundaryKind
 from .errors import GraphError
@@ -55,16 +59,36 @@ _REPETITION_BOUNDARIES = (_DELIMITED, _LENGTH, _END, _COUNTER)
 _VARIABLE_ARITY = (_REPETITION, _TABULAR, _OPTIONAL)
 
 
+class GraphIndex(NamedTuple):
+    """What validating a graph worked out about it (see :func:`lookup_index`)."""
+
+    #: every node name mapped to its node, in pre-order.
+    by_name: dict[str, Node]
+    #: every name a boundary or a presence condition references.
+    referenced: set[str]
+    #: the nodes in pre-order (serialization order).
+    nodes: list[Node]
+    #: length-field name -> the LENGTH-bounded node it measures.
+    length_sources: dict[str, Node]
+    #: counter-field name -> the first COUNTER-bounded node it counts.
+    counter_sources: dict[str, Node]
+    #: :func:`~repro.core.graph.static_size` of each node of ``nodes``.
+    static_sizes: list[int | None]
+    #: :func:`~repro.core.graph.is_greedy` of the root: its parse consults the
+    #: end of the stream, so its messages do not frame back to back.
+    greedy: bool
+
+
 def validate_graph(graph: FormatGraph) -> None:
     """Raise :class:`GraphError` when ``graph`` violates any structural rule."""
     lookup_index(graph)
 
 
-def lookup_index(graph: FormatGraph) -> tuple[dict[str, Node], set[str]]:
-    """Validate ``graph`` as :func:`validate_graph` does and return its lookup
-    index: every node name mapped to its node, in pre-order, and every name a
-    boundary or a presence condition references."""
-    nodes, position, ref_targets, shared_length = _walk(graph)
+def lookup_index(graph: FormatGraph) -> GraphIndex:
+    """Validate ``graph`` as :func:`validate_graph` does and return what the
+    walk and the bottom-up pass found, as a :class:`GraphIndex`."""
+    nodes, position, ref_targets, shared_length, length_sources, counter_sources = (
+        _walk(graph))
     end, sizes, greedy = _bottom_up(nodes)
     tail_allowed = [True] + [False] * (len(nodes) - 1)
     window_error = contract_error = None
@@ -74,7 +98,8 @@ def lookup_index(graph: FormatGraph) -> tuple[dict[str, Node], set[str]]:
     syntheses = []
     for index, node in enumerate(nodes):
         node_type = node.type
-        kind = node.boundary.kind
+        boundary = node.boundary
+        kind = boundary.kind
         children = node.children
         for child in children:
             if child.parent is not node:
@@ -85,7 +110,18 @@ def lookup_index(graph: FormatGraph) -> tuple[dict[str, Node], set[str]]:
                 raise GraphError(f"terminal {node.name!r} cannot have children")
             if kind not in _TERMINAL_BOUNDARIES:
                 raise GraphError(f"terminal {node.name!r} cannot use a {kind.value} boundary")
-            _check_terminal_details(node, ref_targets)
+            value_kind = node.value_kind
+            if value_kind is _UINT and kind is not _FIXED:
+                raise GraphError(f"uint terminal {node.name!r} requires a fixed boundary")
+            if value_kind is _UINT and not boundary.size:
+                raise GraphError(f"uint terminal {node.name!r} requires a positive size")
+            if node.is_pad:
+                if kind is not _FIXED:
+                    raise GraphError(f"pad terminal {node.name!r} requires a fixed boundary")
+                if node.origin is not None:
+                    raise GraphError(f"pad terminal {node.name!r} cannot carry a logical origin")
+            if node.name in ref_targets:
+                _check_length_field(node)
         elif node_type is _SEQUENCE:
             if not children:
                 raise GraphError(f"sequence {node.name!r} must have at least one child")
@@ -102,7 +138,7 @@ def lookup_index(graph: FormatGraph) -> tuple[dict[str, Node], set[str]]:
             if node_type is _TABULAR and kind is not _COUNTER:
                 raise GraphError(f"tabular {node.name!r} must use a counter boundary")
         # A boundary carries ``ref`` only when it is LENGTH or COUNTER.
-        ref = node.boundary.ref
+        ref = boundary.ref
         presence = node.presence_ref
         refers = ref is not None or presence is not None
         if refers:
@@ -139,19 +175,21 @@ def lookup_index(graph: FormatGraph) -> tuple[dict[str, Node], set[str]]:
     if contract_error is not None:
         raise GraphError(contract_error)
     _check_codec_contract(nodes, origins, values, syntheses)
-    return dict(zip(position, nodes)), ref_targets.union(presences)
+    return GraphIndex(dict(zip(position, nodes)), ref_targets.union(presences), nodes,
+                      length_sources, counter_sources, sizes, greedy[0])
 
 
 def _walk(graph: FormatGraph):
-    """Pre-order nodes, name positions and LENGTH/COUNTER targets.
-
-    Also returns the error of the first terminal backing two LENGTH boundaries
-    (counters may be shared), raised later in rule order.
+    """Pre-order nodes, name positions, LENGTH/COUNTER targets, the error of
+    the first terminal backing two LENGTH boundaries (counters may be shared),
+    raised later in rule order, and the length and counter maps of
+    :class:`GraphIndex`.
     """
     nodes: list[Node] = []
     position: dict[str, int] = {}
     ref_targets: set[str] = set()
-    length_sources: dict[str, str] = {}
+    length_sources: dict[str, Node] = {}
+    counter_sources: dict[str, Node] = {}
     shared_length = None
     stack = [graph.root]
     while stack:
@@ -161,25 +199,32 @@ def _walk(graph: FormatGraph):
             raise GraphError(f"duplicate node name {name!r} in graph {graph.name!r}")
         position[name] = len(nodes)
         nodes.append(node)
-        ref = node.boundary.ref
+        ref = node.boundary.ref  # only LENGTH and COUNTER boundaries carry one
         if ref is not None:
             ref_targets.add(ref)
-            if node.boundary.kind is _LENGTH and shared_length is None:
-                previous = length_sources.setdefault(ref, name)
-                if previous != name:
+            if node.boundary.kind is not _LENGTH:
+                counter_sources.setdefault(ref, node)
+            elif shared_length is None:
+                previous = length_sources.setdefault(ref, node)
+                if previous is not node:
                     shared_length = (
-                        f"terminal {ref!r} is the length of both {previous!r} and {name!r}"
+                        f"terminal {ref!r} is the length of both {previous.name!r} "
+                        f"and {name!r}"
                     )
         if node.children:
             stack.extend(reversed(node.children))
-    return nodes, position, ref_targets, shared_length
+    return nodes, position, ref_targets, shared_length, length_sources, counter_sources
 
 
 def _bottom_up(nodes: list[Node]):
     """Subtree ends, :func:`~repro.core.graph.static_size` and
     :func:`~repro.core.graph.is_greedy` of the pre-order ``nodes``, children
     first, on any tree the walk accepts.  ``end[i]`` is one past node ``i``'s
-    subtree, so its children sit at ``i + 1``, ``end[i + 1]``, ..."""
+    subtree, so its children sit at ``i + 1``, ``end[i + 1]``, ...
+
+    A mirrored node is greedy exactly when its boundary is END: the parser
+    extracts its region first, so the region, not the node's children,
+    decides how far it reads."""
     end = list(range(1, len(nodes) + 1))
     sizes: list[int | None] = [None] * len(nodes)
     greedy = [False] * len(nodes)
@@ -210,6 +255,8 @@ def _bottom_up(nodes: list[Node]):
                 greedy[index] = open_ended and (
                     node.presence_ref is None or (child > index + 1 and greedy[index + 1])
                 )
+        if open_ended and node.mirrored:  # no other mirrored node is greedy
+            greedy[index] = kind is _END
         end[index] = child
     return end, sizes, greedy
 
@@ -219,30 +266,20 @@ def _bottom_up(nodes: list[Node]):
 # ---------------------------------------------------------------------------
 
 
-def _check_terminal_details(node: Node, ref_targets: set[str]) -> None:
-    if node.value_kind is _UINT and node.boundary.kind is not _FIXED:
-        raise GraphError(f"uint terminal {node.name!r} requires a fixed boundary")
-    if node.value_kind is _UINT and not node.boundary.size:
-        raise GraphError(f"uint terminal {node.name!r} requires a positive size")
+def _check_length_field(node: Node) -> None:
+    if node.value_kind is not _UINT or node.boundary.kind is not _FIXED:
+        raise GraphError(
+            f"terminal {node.name!r} is a length/counter field and must be a fixed-size uint"
+        )
+    if node.origin is not None:
+        raise GraphError(
+            f"terminal {node.name!r} is a derived length/counter field and cannot carry "
+            f"a logical origin"
+        )
     if node.is_pad:
-        if node.boundary.kind is not _FIXED:
-            raise GraphError(f"pad terminal {node.name!r} requires a fixed boundary")
-        if node.origin is not None:
-            raise GraphError(f"pad terminal {node.name!r} cannot carry a logical origin")
-    if node.name in ref_targets:
-        if node.value_kind is not _UINT or node.boundary.kind is not _FIXED:
-            raise GraphError(
-                f"terminal {node.name!r} is a length/counter field and must be a fixed-size uint"
-            )
-        if node.origin is not None:
-            raise GraphError(
-                f"terminal {node.name!r} is a derived length/counter field and cannot carry "
-                f"a logical origin"
-            )
-        if node.is_pad:
-            raise GraphError(
-                f"terminal {node.name!r} is a length/counter field and cannot be padding"
-            )
+        raise GraphError(
+            f"terminal {node.name!r} is a length/counter field and cannot be padding"
+        )
 
 
 def _check_references(graph: FormatGraph, node: Node, index: int, nodes: list[Node],
@@ -305,16 +342,17 @@ def _check_obfuscation_metadata(node: Node, size: int | None) -> None:
                 f"mirrored node {node.name!r} has no parse-time determinable extent"
             )
     for op in node.codec_chain:
-        if op.bytewise and node.value_kind is _UINT:
+        bytewise = op.bytewise
+        if bytewise and node.value_kind is _UINT:
             raise GraphError(f"bytewise value operation on uint terminal {node.name!r}")
         if node.type is not _TERMINAL:
             raise GraphError(f"only terminals may carry a codec chain ({node.name!r})")
-        if op.bytewise and node.boundary.kind is _DELIMITED:
+        if bytewise and node.boundary.kind is _DELIMITED:
             raise GraphError(
                 f"bytewise value operation on delimited terminal {node.name!r} could "
                 f"collide with the delimiter"
             )
-        if not op.bytewise:
+        if not bytewise:
             if node.value_kind is not _UINT:
                 raise GraphError(
                     f"integer value operation on non-uint terminal {node.name!r}"

@@ -40,7 +40,6 @@ from ..wire.streaming import (
     StreamingDecoder,
     decode_stream,
     is_self_framing,
-    stream_greedy_nodes,
 )
 from .capture import Capture, CaptureError, CaptureRecord
 from .faults import (
@@ -147,5 +146,4 @@ __all__ = [
     "memory_pipe",
     "resolve_framing",
     "retry_operation",
-    "stream_greedy_nodes",
 ]

@@ -134,7 +134,6 @@ class ObfuscatedProxy:
         self._session_ids = itertools.count(1)
         self.completed: list[ProxyStats] = []
         self._tcp_server: asyncio.AbstractServer | None = None
-        self._upstream_factory = None
         #: upstream dial resilience: per-dial deadline, seeded retry/backoff,
         #: and a circuit breaker refusing fast while the upstream is down.
         self.timeouts = timeouts if timeouts is not None else TimeoutConfig()

@@ -253,11 +253,6 @@ class TimeoutConfig:
     #: teardown budget for draining in-flight data / sessions.
     drain: "float | None" = 5.0
 
-    def deadline(self, clock, which: str) -> Deadline:
-        """An absolute deadline for one named knob, measured on ``clock``."""
-        return Deadline.after(clock, getattr(self, which),
-                              operation=f"{which} phase")
-
 
 # ---------------------------------------------------------------------------
 # retry policy

@@ -11,10 +11,11 @@ graph, which reproduces the super-linear growth of the number of applied
 transformations reported in Tables III and IV.
 
 The engine validates its private clone in full after every step and keeps
-the lookup index that :func:`~repro.core.validate.lookup_index` returns on it
-until the next rewrite: the sweeps' ``find`` and the transformations'
-``is_ref_target`` and ``fresh_name`` answer from it without a scan.  The
-index is dropped before a result is returned.
+the :class:`~repro.core.validate.GraphIndex` that
+:func:`~repro.core.validate.lookup_index` returns on it until the next
+rewrite: the sweeps' ``find`` and the transformations' ``is_ref_target`` and
+``fresh_name`` answer from it without a scan.  The index is dropped before a
+result is returned.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class Obfuscator:
         """Visit every node present at the start of the pass, until ``records``
         holds ``budget`` records; True when a transformation applied."""
         index = graph.lookup_index
-        snapshot = list(index[0]) if index is not None else [n.name for n in graph.nodes()]
+        snapshot = list(index.by_name) if index is not None else [n.name for n in graph.nodes()]
         applied = False
         for name in snapshot:
             if budget is not None and len(records) >= budget:

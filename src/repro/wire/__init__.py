@@ -22,7 +22,6 @@ from .streaming import (
     StreamWindow,
     decode_stream,
     is_self_framing,
-    stream_greedy_nodes,
 )
 from .window import Window
 
@@ -51,5 +50,4 @@ __all__ = [
     "reset_cache_stats",
     "serialize",
     "serialize_with_spans",
-    "stream_greedy_nodes",
 ]

@@ -13,6 +13,7 @@ source paper applies to its generated C++ parsers:
 * the set of LENGTH/COUNTER reference targets,
 * the length/counter source maps keyed by the derived field's name,
 * the resolved static size of every node,
+* whether back-to-back messages frame on a bare stream,
 * one composed codec callable per terminal (codec chain + value encoding
   fused, with byte-translation tables for byte-wise chains),
 * pre-encoded delimiters and, per length field, the node it measures and
@@ -24,9 +25,9 @@ error in every dialect instead of wrapping modulo the width under an ADD
 step or leaking a xor-ed value.
 
 Only validated graphs compile: :func:`compile_plan` runs
-:func:`~repro.core.validate.validate_graph` first, so no plan path, and no
-parse or serialize step run against a plan, re-checks a shape the validator
-excludes.
+:func:`~repro.core.validate.lookup_index` first and takes the graph-wide facts
+above from the record it returns, so no plan path, and no parse or serialize
+step run against a plan, re-checks a shape the validator excludes.
 
 Plans are cached at two levels (:func:`plan_for`).  Graphs stamped with an
 obfuscation-plan fingerprint (``graph.plan_fingerprint``, set by
@@ -49,14 +50,14 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..core.boundary import BoundaryKind
 from ..core.errors import SerializationError
 from ..core.fieldpath import FieldPath, accessor
 from ..core.graph import FormatGraph
 from ..core.node import Node, NodeType
-from ..core.validate import validate_graph
+from ..core.validate import lookup_index
 from ..core.values import Endian, Value, ValueKind, ValueOp, ValueOpKind, encode_value
 
 
@@ -312,48 +313,6 @@ def _compile_encode(name: str, kind: ValueKind, endian: Endian, size: int | None
 
 
 # ---------------------------------------------------------------------------
-# static size resolution
-# ---------------------------------------------------------------------------
-
-
-def _compute_static_sizes(root: Node) -> dict[str, int | None]:
-    """Resolve :func:`repro.core.graph.static_size` for every node in one pass."""
-    sizes: dict[str, int | None] = {}
-    # Post-order: children are resolved before their parent sums them.
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            stack.append((node, True))
-            for child in node.children:
-                stack.append((child, False))
-            continue
-        if node.type is NodeType.TERMINAL:
-            sizes[node.name] = (
-                node.boundary.size if node.boundary.kind is BoundaryKind.FIXED else None
-            )
-            continue
-        if node.type in (NodeType.OPTIONAL, NodeType.REPETITION, NodeType.TABULAR):
-            sizes[node.name] = None
-            continue
-        total: int | None = 0
-        for child in node.children:
-            child_size = sizes[child.name]
-            if child_size is None:
-                total = None
-                break
-            total += child_size
-        if (
-            total is not None
-            and node.boundary.kind is BoundaryKind.FIXED
-            and node.boundary.size != total
-        ):
-            total = None
-        sizes[node.name] = total
-    return sizes
-
-
-# ---------------------------------------------------------------------------
 # the plan
 # ---------------------------------------------------------------------------
 
@@ -372,11 +331,11 @@ class CodecPlan:
         origin path)``.
     static_sizes:
         Node name -> statically known serialized size, or ``None``.
+    self_framing:
+        True when back-to-back messages frame on a bare stream: the root is
+        not greedy, so no parse consults the end of the stream.
     terminals:
         Value-carrying terminal name -> :class:`TerminalPlan`.
-    presence_origins:
-        Optional-node name -> logical origin path of its presence terminal
-        (validation gives every presence terminal an origin).
     origin_get / origin_set / list_init:
         Node name -> walker of its origin over the logical message data, taken
         from the shared :func:`repro.core.fieldpath.accessor` of the origin;
@@ -392,8 +351,8 @@ class CodecPlan:
         "counter_sources",
         "derived_fields",
         "static_sizes",
+        "self_framing",
         "terminals",
-        "presence_origins",
         "origin_get",
         "origin_set",
         "list_init",
@@ -409,8 +368,8 @@ class CodecPlan:
         length_targets: frozenset[str],
         counter_sources: dict[str, tuple[str, FieldPath]],
         static_sizes: dict[str, int | None],
+        self_framing: bool,
         terminals: dict[str, TerminalPlan],
-        presence_origins: dict[str, FieldPath],
         origin_get: dict[str, Callable],
         origin_set: dict[str, Callable],
         list_init: dict[str, Callable],
@@ -432,8 +391,8 @@ class CodecPlan:
             **length_slots,
         }
         self.static_sizes = static_sizes
+        self.self_framing = self_framing
         self.terminals = terminals
-        self.presence_origins = presence_origins
         self.origin_get = origin_get
         self.origin_set = origin_set
         self.list_init = list_init
@@ -448,59 +407,32 @@ class CodecPlan:
         )
 
 
-def _reference_maps(nodes: Iterable[Node]) -> tuple[dict[str, Node], dict[str, Node]]:
-    """The derived-field maps of a graph's nodes, in one walk.
-
-    Returns ``(length_sources, counter_sources)``: length-field name -> the
-    LENGTH-bounded node it measures (the last one wins), and counter-field
-    name -> the COUNTER-bounded node it counts (the first one wins).
-    """
-    length_sources: dict[str, Node] = {}
-    counter_sources: dict[str, Node] = {}
-    for node in nodes:
-        ref = node.boundary.ref
-        if ref is None:
-            continue
-        kind = node.boundary.kind
-        if kind is BoundaryKind.LENGTH:
-            length_sources[ref] = node
-        elif kind is BoundaryKind.COUNTER:
-            counter_sources.setdefault(ref, node)
-    return length_sources, counter_sources
-
-
 def compile_plan(graph: FormatGraph) -> CodecPlan:
     """Validate ``graph`` and compile it into a fresh :class:`CodecPlan` (no caching).
 
     An invalid graph raises the validator's
     :class:`~repro.core.errors.GraphError` before anything compiles.
     """
-    validate_graph(graph)
-    nodes = list(graph.nodes())
-    length_sources, counted = _reference_maps(nodes)
-    counter_sources = {ref: (node.name, node.origin) for ref, node in counted.items()}
-    terminal_nodes: list[Node] = []
-    origins: dict[str, FieldPath] = {}
-    presence_refs: dict[str, str] = {}
-    for node in nodes:
-        if node.origin is not None:
-            origins[node.name] = node.origin
-        if node.type is NodeType.OPTIONAL and node.presence_ref is not None:
-            presence_refs[node.name] = node.presence_ref
-        if node.type is NodeType.TERMINAL and not node.is_pad:
-            terminal_nodes.append(node)
-    presence_origins = {name: origins[ref] for name, ref in presence_refs.items()}
-    walkers = {name: accessor(origin) for name, origin in origins.items()}
-    counter_get = {
-        field_name: accessor(source_origin).get
-        for field_name, (_, source_origin) in counter_sources.items()
+    index = lookup_index(graph)
+    by_name = index.by_name
+    length_sources = index.length_sources
+    counter_sources = {
+        ref: (node.name, node.origin) for ref, node in index.counter_sources.items()
     }
-    presence_get = {
-        name: accessor(path).get for name, path in presence_origins.items()
-    }
+    walkers = {}
+    presence_get: dict[str, Callable] = {}
     length_slots: dict[str, LengthField] = {}
     terminals: dict[str, TerminalPlan] = {}
-    for node in terminal_nodes:
+    for node in index.nodes:
+        if node.origin is not None:
+            walkers[node.name] = accessor(node.origin)
+        if node.type is NodeType.OPTIONAL:
+            if node.presence_ref is not None:
+                # Validation gives every presence terminal an origin.
+                presence_get[node.name] = accessor(by_name[node.presence_ref].origin).get
+            continue
+        if node.type is not NodeType.TERMINAL or node.is_pad:
+            continue
         delimiter = (
             node.boundary.delimiter or b""
             if node.boundary.kind is BoundaryKind.DELIMITED
@@ -529,13 +461,16 @@ def compile_plan(graph: FormatGraph) -> CodecPlan:
         length_slots=length_slots,
         length_targets=frozenset(node.name for node in length_sources.values()),
         counter_sources=counter_sources,
-        static_sizes=_compute_static_sizes(graph.root),
+        static_sizes=dict(zip(by_name, index.static_sizes)),
+        self_framing=not index.greedy,
         terminals=terminals,
-        presence_origins=presence_origins,
         origin_get={name: walker.get for name, walker in walkers.items()},
         origin_set={name: walker.set for name, walker in walkers.items()},
         list_init={name: walker.init_list for name, walker in walkers.items()},
-        counter_get=counter_get,
+        counter_get={
+            field_name: accessor(origin).get
+            for field_name, (_, origin) in counter_sources.items()
+        },
         presence_get=presence_get,
     )
 

@@ -31,20 +31,19 @@ the enclosing window at the top level (an END-bounded terminal such as the
 HTTP body, or an Optional without a presence reference) cannot be framed on
 a bare stream: the next message's bytes would be swallowed.  Exactly like
 HTTP/1.0 without ``Content-Length``, such messages end only at end-of-stream.
-:func:`stream_greedy_nodes` / :func:`is_self_framing` perform that static
-analysis; the session layer (:mod:`repro.net`) switches to an explicit
-record framing when a graph is not self-framing.
+:func:`is_self_framing` reads that verdict from the graph's cached plan (the
+validator's greedy flag of the root); the session layer (:mod:`repro.net`)
+switches to an explicit record framing when a graph is not self-framing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.boundary import BoundaryKind
 from ..core.errors import BudgetExceeded, ParseError, StreamError
 from ..core.graph import FormatGraph
 from ..core.message import Message
-from ..core.node import Node, NodeType
+from ..core.node import Node
 from ..core.values import Value
 from .parser import (
     _COUNTER,
@@ -779,50 +778,11 @@ def decode_stream(graph: FormatGraph, chunks, *, plan: CodecPlan | None = None
 
 
 # ---------------------------------------------------------------------------
-# framability analysis
+# framability
 # ---------------------------------------------------------------------------
 
 
-def stream_greedy_nodes(graph: FormatGraph) -> tuple[str, ...]:
-    """Names of the nodes that make ``graph`` unframable on a bare stream.
-
-    A node is *stream-greedy* when parsing it consults the end of the
-    top-level (stream-extent) window: an END-bounded read swallows every
-    byte to end-of-stream, and an Optional without a presence reference
-    treats the next message's bytes as its own content.  Nodes inside a
-    LENGTH-bounded region are never greedy — the region supplies the end.
-    """
-    greedy: list[str] = []
-
-    def visit(node: Node, bounded: bool) -> None:
-        if node.mirrored and not bounded:
-            if node.boundary.kind is BoundaryKind.END:
-                greedy.append(node.name)
-            # The extracted region bounds the sub-parse regardless.
-            for child in node.children:
-                visit(child, True)
-            return
-        if node.type is NodeType.TERMINAL:
-            if not bounded and node.boundary.kind in (BoundaryKind.END,
-                                                      BoundaryKind.DELEGATED):
-                greedy.append(node.name)
-            return
-        child_bounded = bounded or node.boundary.kind is BoundaryKind.LENGTH
-        if node.type is NodeType.OPTIONAL:
-            if not child_bounded and node.presence_ref is None:
-                greedy.append(node.name)
-        elif node.type in (NodeType.REPETITION, NodeType.TABULAR):
-            if (not child_bounded
-                    and node.boundary.kind not in (BoundaryKind.COUNTER,
-                                                   BoundaryKind.DELIMITED)):
-                greedy.append(node.name)
-        for child in node.children:
-            visit(child, child_bounded)
-
-    visit(graph.root, False)
-    return tuple(greedy)
-
-
 def is_self_framing(graph: FormatGraph) -> bool:
-    """True when back-to-back messages of ``graph`` frame on a bare stream."""
-    return not stream_greedy_nodes(graph)
+    """True when back-to-back messages of ``graph`` frame on a bare stream:
+    no parse consults the end of the stream (``graph`` is validated first)."""
+    return plan_for(graph).self_framing

@@ -415,6 +415,17 @@ class TestValidation:
         with pytest.raises(GraphError, match=_exact(message)):
             validate_graph(graph(remaining_bytes("rest"), uint("b", 1)))
 
+    def test_mirrored_end_region_must_be_last(self):
+        # The parser extracts the region up to the end of its window, so it
+        # swallows what follows it even when no child of it is greedy.
+        region = sequence("region", [uint("a", 1), uint("b", 1)], boundary=Boundary.end())
+        region.mirrored = True
+        graph = build_graph(sequence("msg", [region, uint("c", 1)]), "demo", validate=False)
+        assert is_greedy(region)
+        message = "greedy node 'region' is not in tail position of its window"
+        with pytest.raises(GraphError, match=_exact(message)):
+            validate_graph(graph)
+
     def test_rule_order_decides_reported_error(self):
         def graph(*extra):
             first = fixed_bytes("a", 4)

@@ -29,7 +29,6 @@ from repro.wire.streaming import (
     StreamingDecoder,
     decode_stream,
     is_self_framing,
-    stream_greedy_nodes,
 )
 
 
@@ -342,8 +341,6 @@ def test_self_framing_analysis():
     http = registry.get("http")
     assert not is_self_framing(http.graph_factory())
     assert not is_self_framing(http.response_graph_factory())
-    greedy = stream_greedy_nodes(http.graph_factory())
-    assert "request_body" in greedy  # the END-bounded optional body
     for key in ("modbus", "dns", "mqtt"):
         setup = registry.get(key)
         assert is_self_framing(setup.graph_factory()), key

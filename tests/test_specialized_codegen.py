@@ -136,8 +136,17 @@ def unworkable_graph(shape: str):
     zero-size uint, a pad measured as a LENGTH field, a terminal or a
     repetition without a logical origin, a synthesis share that also counts
     a tabular, an optional whose presence terminal is a pad, a pad inside a
-    synthesis node, or a value stored where another path needs a container.
+    synthesis node, a value stored where another path needs a container, or
+    a mirrored END-bounded region followed by another field.
     """
+    if shape == "mirrored_end_region":
+        # Every tier serialized {region: {a: 1, b: 2}, c: 3} as 02 01 03; each
+        # parser extracted the region up to the end of the window and raised
+        # "1 byte(s) left inside bounded node".
+        region = sequence("region", [uint("a", 1), uint("b", 1)], boundary=Boundary.end())
+        region.mirrored = True
+        return (build_graph(sequence("msg", [region, uint("c", 1)]), shape, validate=False),
+                "greedy node 'region' is not in tail position of its window")
     if shape == "pad_in_synthesis":
         # Both tiers serialized {"v_split": 7} as b'\xd7B'; the interpreted
         # parser then found no value in the pad and the specialized one
@@ -201,7 +210,7 @@ def unworkable_graph(shape: str):
 
 UNWORKABLE = ("bytewise_uint", "sizeless_uint", "pad_length", "share_counter",
               "pad_presence", "repetition_without_origin", "terminal_without_origin",
-              "pad_in_synthesis", "value_over_container")
+              "pad_in_synthesis", "value_over_container", "mirrored_end_region")
 
 
 def wait_for_module(graph, timeout: float = 60.0) -> types.ModuleType:
@@ -291,6 +300,25 @@ class TestEmittedSource:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert (len(lines), digest) == (
             472, "2e24b5c3630f5145368c86c06acebd04fe701081f71e76bde3a7c90b54187f28")
+
+    def test_sources_match_recorded_digest(self):
+        """The specialized and the readable source of every registry
+        direction at level 0 and at levels 1-4, seeds 0-4.  An emitter change
+        records it again only after diffing the sources it moves."""
+        runs = [(0, 0)] + [(level, seed) for level in (1, 2, 3, 4) for seed in range(5)]
+        graphs = [
+            graph_factory() if level == 0
+            else Obfuscator(seed=seed).obfuscate(graph_factory(), level).graph
+            for setup in registry.setups()
+            for _, graph_factory, _ in setup.directions()
+            for level, seed in runs
+        ]
+        digest = hashlib.sha256()
+        for graph in graphs:
+            digest.update(generate_specialized_module(graph).encode())
+            digest.update(generate_module(graph).encode())
+        assert (len(graphs), digest.hexdigest()) == (
+            168, "fb222b2c882e6ebad1aac117cc38e00185e587f8ebadc236fb4e2a19f7ea61ba")
 
 
 class TestEquivalence:
