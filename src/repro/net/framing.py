@@ -33,6 +33,7 @@ from typing import Callable
 
 from ..core.errors import BudgetExceeded, ParseError, StreamError
 from ..core.graph import FormatGraph
+from ..wire.incremental import IncrementalDecoder
 from ..wire.plan import CodecPlan, plan_for
 from ..wire.streaming import DecodedMessage, StreamingDecoder, is_self_framing
 
@@ -161,7 +162,7 @@ def encode_busy(retry_after: float = 0.0) -> bytes:
     )
 
 
-class RecordDecoder:
+class RecordDecoder(IncrementalDecoder):
     """Incremental decoder of length-prefixed records carrying wire messages.
 
     The record-framing counterpart of
@@ -191,8 +192,8 @@ class RecordDecoder:
     declaration is validated the moment the 4 header bytes arrive — before a
     single payload byte is buffered toward it — and a violation raises a
     typed :class:`~repro.core.errors.BudgetExceeded`.  ``max_stream_bytes``
-    caps the decoder's buffered backlog and ``max_steps_per_feed`` the
-    records decoded from one fed chunk.
+    and ``max_steps_per_feed`` apply as in every
+    :class:`~repro.wire.incremental.IncrementalDecoder`.
     """
 
     def __init__(self, graph: FormatGraph, *, plan: CodecPlan | None = None,
@@ -206,6 +207,7 @@ class RecordDecoder:
                 f"max_declared_bytes must be in 1..{BUSY_SENTINEL - 1} "
                 f"({max_record_size}): the control-record sentinels live above"
             )
+        super().__init__(budget)
         self.graph = graph
         #: graph -> parser-like (``parse(payload, strict=True)``); lets a
         #: session swap in the specialized compiled codec tier, including
@@ -215,18 +217,11 @@ class RecordDecoder:
         self._key_resolver = key_resolver
         self.resync = resync
         self.max_record_size = max_record_size
-        self._max_stream = getattr(budget, "max_stream_bytes", None)
-        self._max_steps = getattr(budget, "max_steps_per_feed", None)
         #: rotation control records followed (plan switches in this stream).
         self.rotations = 0
         #: key id of the plan currently in force (None until the first rotation).
         self.current_key: str | None = None
-        self._buffer = bytearray()
-        self._eof = False
-        self._decoded = 0
-        self._steps = 0
         self._payload_offset = 0
-        self._failed: StreamError | None = None
 
     def _make_parser(self, graph: FormatGraph, plan: "CodecPlan | None" = None):
         if self._parser_factory is not None:
@@ -239,35 +234,8 @@ class RecordDecoder:
     def needs_more(self) -> bool:
         return len(self._buffer) > 0
 
-    @property
-    def buffered(self) -> int:
-        """Bytes currently buffered toward the next record."""
-        return len(self._buffer)
-
-    @property
-    def decoded_count(self) -> int:
-        return self._decoded
-
-    def feed(self, data: bytes) -> "list[DecodedMessage | RotationEvent | CorruptRecord | BusyEvent]":
-        self._check_failed()
-        if self._eof:
-            raise StreamError("cannot feed bytes after end-of-stream")
-        if (self._max_stream is not None
-                and len(self._buffer) + len(data) > self._max_stream):
-            raise self._fail(BudgetExceeded(
-                "stream_bytes", limit=self._max_stream,
-                actual=len(self._buffer) + len(data),
-                message_index=self._decoded,
-            ))
-        self._steps = 0
-        self._buffer += data
-        return self._drain()
-
     def feed_eof(self) -> "list[DecodedMessage | RotationEvent | CorruptRecord | BusyEvent]":
-        self._check_failed()
-        self._eof = True
-        self._steps = 0
-        completed = self._drain()
+        completed = super().feed_eof()
         if self._buffer:
             raise self._fail(StreamError(
                 f"stream ended inside a record ({len(self._buffer)} byte(s) "
@@ -358,12 +326,7 @@ class RecordDecoder:
                 ))
             if len(self._buffer) < RECORD_HEADER + size:
                 break
-            self._steps += 1
-            if self._max_steps is not None and self._steps > self._max_steps:
-                raise self._fail(BudgetExceeded(
-                    "decode_steps", limit=self._max_steps, actual=self._steps,
-                    message_index=self._decoded,
-                ))
+            self._count_step()
             payload = bytes(self._buffer[RECORD_HEADER : RECORD_HEADER + size])
             del self._buffer[: RECORD_HEADER + size]
             try:
@@ -392,16 +355,6 @@ class RecordDecoder:
             ))
             self._decoded += 1
         return completed
-
-    def _fail(self, error: StreamError) -> StreamError:
-        self._failed = error
-        return error
-
-    def _check_failed(self) -> None:
-        # Re-raise the *original* stored error: diagnosis code downstream
-        # relies on message_index/offset/node surviving repeated feeds.
-        if self._failed is not None:
-            raise self._failed
 
 
 def make_decoder(graph: FormatGraph, framing: str, *,

@@ -69,6 +69,8 @@ class _Leg:
                  framing: str, seed: int):
         self.request_graph = request_graph
         self.response_graph = response_graph
+        #: plan fingerprint of the request graph (capture tagging).
+        self.request_fingerprint = getattr(request_graph, "plan_fingerprint", None)
         self.request_plan = plan_for(request_graph)
         self.response_plan = plan_for(response_graph)
         self.request_framing = resolve_framing(request_graph, framing)
@@ -86,7 +88,8 @@ class ObfuscatedProxy:
     specification; pass obfuscated graphs on one side to build the gateway.
     An attached :class:`~repro.net.capture.Capture` records the traffic the
     proxy serializes on the upstream leg (the obfuscated segment an on-path
-    observer sees), with full ground truth since the proxy re-serialized it.
+    observer sees), with full ground truth since the proxy re-serialized it,
+    each record tagged with the upstream request graph's plan fingerprint.
     """
 
     def __init__(self, protocol: "str | registry.ProtocolSetup", *,
@@ -257,7 +260,8 @@ class ObfuscatedProxy:
     def _capture(self, session, direction, payload, message, spans=None) -> None:
         if self.capture is not None:
             self.capture.record(session=session, direction=direction,
-                                data=payload, spans=spans, logical=message)
+                                data=payload, spans=spans, logical=message,
+                                plan_fingerprint=self.upstream.request_fingerprint)
 
     # -- TCP front-end ---------------------------------------------------------
 

@@ -297,7 +297,7 @@ class _MessagePump:
 
     def buffered_bytes(self) -> int:
         """Bytes this session holds: decoder backlog + undelivered queue."""
-        return getattr(self._decoder, "buffered", 0) + self._pending_bytes
+        return self._decoder.buffered + self._pending_bytes
 
     def _account(self) -> None:
         buffered = self.buffered_bytes()

@@ -14,12 +14,8 @@ from .plan import (
 from .serializer import Serializer, serialize, serialize_with_spans
 from .spans import FieldSpan, boundaries
 from .streaming import (
-    NEED_MORE,
     DecodedMessage,
     StreamingDecoder,
-    StreamingParser,
-    StreamSource,
-    StreamWindow,
     decode_stream,
     is_self_framing,
 )
@@ -29,13 +25,9 @@ __all__ = [
     "CodecPlan",
     "DecodedMessage",
     "FieldSpan",
-    "NEED_MORE",
     "Parser",
     "Serializer",
-    "StreamSource",
-    "StreamWindow",
     "StreamingDecoder",
-    "StreamingParser",
     "TerminalPlan",
     "Window",
     "WireCodec",

@@ -79,23 +79,13 @@ class Parser:
         :class:`ParseError`.
         """
         window = Window(bytes(data))
-        message = self.parse_prefix(window)
+        context = _ParseContext()
+        self._parse_node(self.graph.root, window, context)
         if strict and not window.at_end():
             raise ParseError(
                 f"{window.remaining()} trailing byte(s) after the message",
                 offset=window.cursor,
             )
-        return message
-
-    def parse_prefix(self, window: Window) -> Message:
-        """Parse one message starting at ``window.cursor``.
-
-        Leaves the cursor one past the message's last byte.  Unlike
-        :meth:`parse`, bytes left in the window after the message are not an
-        error.
-        """
-        context = _ParseContext()
-        self._parse_node(self.graph.root, window, context)
         return context.message
 
     # -- node dispatch --------------------------------------------------------

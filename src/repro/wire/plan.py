@@ -341,6 +341,9 @@ class CodecPlan:
         from the shared :func:`repro.core.fieldpath.accessor` of the origin;
         ``counter_get`` and ``presence_get`` are the same getters keyed for
         counter fields and Optional presence checks.
+    parse_program:
+        The graph's :class:`~repro.wire.program.ParseProgram`, compiled by the
+        first streaming decoder of the plan (``None`` until then).
     """
 
     __slots__ = (
@@ -358,6 +361,7 @@ class CodecPlan:
         "list_init",
         "counter_get",
         "presence_get",
+        "parse_program",
     )
 
     def __init__(
@@ -398,6 +402,7 @@ class CodecPlan:
         self.list_init = list_init
         self.counter_get = counter_get
         self.presence_get = presence_get
+        self.parse_program = None
 
     def __repr__(self) -> str:
         return (

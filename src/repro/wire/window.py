@@ -3,8 +3,7 @@
 A :class:`Window` is a bounded, cursor-based view over a byte buffer.  Parsing
 a node whose extent is known up-front (LENGTH boundary, mirrored region, ...)
 creates a sub-window so that END boundaries and repetitions naturally stop at
-the right place.  An :class:`OpenWindow` is the root window over the bytes a
-stream has delivered so far, whose true end is not known yet.
+the right place.
 """
 
 from __future__ import annotations
@@ -117,32 +116,3 @@ class Window:
 
     def __repr__(self) -> str:
         return f"Window(cursor={self._cursor}, end={self._end}, remaining={self.remaining()})"
-
-
-class OpenWindow(Window):
-    """A root window over bytes buffered so far from a stream that goes on.
-
-    ``end`` is as far as the parse may look — where the buffered bytes stop,
-    or a cap before that — not where the message stops, so any answer that
-    depends on a byte past it is unknown: :meth:`at_end` and
-    :meth:`starts_with` raise :class:`ParseError` instead of answering when
-    they would have to look past ``end``, and :meth:`read_rest` always raises.
-    Reads, delimiter scans and sub-windows that outrun ``end`` already raise.
-    Sub-windows are plain bounded :class:`Window` objects: their extent is
-    known.
-    """
-
-    __slots__ = ()
-
-    def at_end(self) -> bool:
-        if self._cursor < self._end:
-            return False
-        raise ParseError("window end lies past the buffered bytes", offset=self._cursor)
-
-    def starts_with(self, prefix: bytes) -> bool:
-        if self._cursor + len(prefix) > self._end:
-            raise ParseError("prefix runs past the buffered bytes", offset=self._cursor)
-        return self._data.startswith(prefix, self._cursor, self._end)
-
-    def read_rest(self) -> bytes:
-        raise ParseError("window end lies past the buffered bytes", offset=self._cursor)

@@ -17,6 +17,8 @@ from random import Random
 
 import pytest
 
+from repro.core.boundary import Boundary
+from repro.core.builder import build_graph, bytes_field, remaining_bytes, sequence, uint
 from repro.core.errors import BudgetExceeded, StreamError
 from repro.net import (
     BusyEvent,
@@ -170,9 +172,9 @@ class TestStreamingDecoderBudgets:
         with pytest.raises(BudgetExceeded) as err:
             decoder.feed(b"\x00" * ((1 << 16) + 1))
         assert err.value.resource == "stream_bytes"
-        # Refused before buffering: the source holds none of the chunk.
+        # Refused before buffering: the decoder's buffer holds none of the chunk.
         assert decoder.buffered == 0
-        assert decoder._source.buffered_bytes() == 0
+        assert len(decoder._buffer) == 0
 
     def test_declared_bytes_cap_under_native_framing(self):
         # The MBAP length field declares 65535 payload bytes: the strict
@@ -206,24 +208,45 @@ class TestStreamingDecoderBudgets:
         assert err.value.node == "mqtt_body"
         assert err.value.message_index == 0
 
-    def test_mid_message_trim_releases_consumed_prefix(self):
-        # Satellite 1: while a message is suspended mid-parse, bytes the
-        # parse has consumed are released from the source — the physical
-        # buffer stays below the logical backlog — yet DecodedMessage.raw
-        # still reproduces the full wire extent.
+    @pytest.mark.parametrize("shape", ["terminal", "sequence", "mirrored"])
+    @pytest.mark.parametrize("drip", [False, True])
+    def test_declared_bytes_cap_at_every_length_use(self, shape, drip):
+        # The 2-byte field ``n`` declares the length of ``body``: a LENGTH-
+        # bounded terminal, a LENGTH-bounded sequence, or a mirrored LENGTH-
+        # bounded terminal.  A declaration over the cap is refused with the
+        # two header bytes alone, fed whole or one at a time.
+        if shape == "sequence":
+            body = sequence("body", [uint("tag", 1), remaining_bytes("rest")],
+                            boundary=Boundary.length("n"))
+        else:
+            body = bytes_field("body", Boundary.length("n"))
+            body.mirrored = shape == "mirrored"
+        graph = build_graph(sequence("root", [uint("n", 2), body]), "declared")
+        decoder = StreamingDecoder(graph, budget=ResourceBudget.strict())
+        assert len(decoder.feed(b"\x00\x03abc")) == 1
+        header = (9000).to_bytes(2, "big")
+        chunks = [header[:1], header[1:]] if drip else [header]
+        with pytest.raises(BudgetExceeded) as err:
+            for chunk in chunks:
+                decoder.feed(chunk)
+        assert err.value.resource == "declared_bytes"
+        assert err.value.node == "body"
+        assert err.value.limit == 8192
+        assert err.value.actual == 9000
+        assert err.value.message_index == 1
+
+    @pytest.mark.parametrize("decoder_type", [StreamingDecoder, RecordDecoder])
+    def test_feed_after_eof_is_refused_before_the_stream_budget(self, decoder_type):
         graph = registry.get("modbus").reference_graph("request")
-        payload = modbus_payloads(1, seed=3)[0]
-        decoder = StreamingDecoder(graph)
-        trimmed = False
-        decoded = []
-        for offset in range(len(payload)):
-            decoded += decoder.feed(payload[offset:offset + 1])
-            held = decoder._source.buffered_bytes()
-            if not decoded and held < decoder.buffered:
-                trimmed = True
-        assert trimmed, "consumed prefix was never released mid-message"
-        assert len(decoded) == 1
-        assert decoded[0].raw == payload
+        decoder = decoder_type(graph, budget=ResourceBudget.strict())
+        assert decoder.feed_eof() == []
+        # Over the 64 KiB stream cap, then one byte: both are refused, and no
+        # budget error latches.
+        for size in ((1 << 16) + 1, 1):
+            with pytest.raises(StreamError) as err:
+                decoder.feed(b"\x00" * size)
+            assert type(err.value) is StreamError
+            assert str(err.value) == "cannot feed bytes after end-of-stream"
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from repro.net import (
     ObfuscatedClient,
     ObfuscatedProxy,
     ObfuscatedServer,
+    SessionKey,
     connect_memory,
     memory_pipe,
 )
@@ -280,6 +281,43 @@ def test_proxy_bridges_plain_client_to_obfuscated_server():
         assert {record.direction for record in capture} == {"request", "response"}
         assert capture.byte_count() > 0
         assert all(record.logical is not None for record in capture)
+
+    run(scenario())
+
+
+def test_proxy_capture_records_carry_the_upstream_fingerprint():
+    """Proxy records are tagged with the plan in force, as endpoint records are."""
+
+    async def scenario():
+        setup = registry.get("modbus")
+        key = SessionKey.from_plans(
+            setup,
+            Obfuscator(seed=50).obfuscate(setup.reference_graph("request"), 2).plan(),
+            Obfuscator(seed=51).obfuscate(setup.reference_graph("response"), 2).plan(),
+        )
+        capture = Capture()
+        server = ObfuscatedServer("modbus", request_graph=key.request_graph,
+                                  response_graph=key.response_graph,
+                                  capture=capture)
+        proxy = ObfuscatedProxy("modbus",
+                                upstream_request_graph=key.request_graph,
+                                upstream_response_graph=key.response_graph,
+                                capture=capture)
+        (client_reader, client_writer), (listen_reader, listen_writer) = memory_pipe()
+        (up_reader, up_writer), (server_reader, server_writer) = memory_pipe()
+        client = ObfuscatedClient("modbus").attach(client_reader, client_writer)
+        server_task = asyncio.ensure_future(
+            server.serve_session(server_reader, server_writer))
+        proxy_task = asyncio.ensure_future(
+            proxy.bridge(listen_reader, listen_writer, up_reader, up_writer))
+        await client.request(setup.message_generator(Random(52)))
+        await client.close(wait_server=False)
+        await proxy_task
+        await server_task
+        tags = {record.direction: record.plan_fingerprint for record in capture}
+        assert tags == {"request": key.request_fingerprint,
+                        "response": key.response_fingerprint}
+        assert key.request_fingerprint is not None
 
     run(scenario())
 

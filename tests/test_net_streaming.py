@@ -11,6 +11,7 @@ garbage, and the self-framing analysis that decides the session framing.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from random import Random
 
@@ -20,6 +21,7 @@ from repro.core.boundary import Boundary
 from repro.core.builder import build_graph, repetition, sequence, uint
 from repro.core.errors import StreamError
 from repro.net.framing import RecordDecoder, encode_record, resolve_framing
+from repro.net.governance import ResourceBudget
 from repro.protocols import registry
 from repro.protocols.dns.app import build_query
 from repro.transforms.engine import Obfuscator
@@ -231,6 +233,63 @@ def test_damaged_stream_whole_feed_matches_drip(key, passes):
             assert whole == drip[: len(whole)], context
             cut = drip[-1].end if drip else 0
             assert decode_outcome(graph, [data[:cut]]) == (drip, None), context
+
+
+def _stream_outcome(graph, chunks, budget) -> str:
+    """The frames (message, bytes, extent) and the typed error of one decode."""
+    decoder = StreamingDecoder(graph, budget=budget)
+    frames, error = [], None
+    try:
+        for chunk in chunks:
+            frames.extend(decoder.feed(chunk))
+        frames.extend(decoder.feed_eof())
+    except StreamError as exc:
+        error = (type(exc).__name__, str(exc), exc.offset, exc.node, exc.message_index)
+    return repr(([(frame.message.raw, frame.raw, frame.start, frame.end)
+                  for frame in frames], error))
+
+
+#: SHA-256 of the outcomes in :func:`test_damaged_stream_outcomes_match_recorded_digest`,
+#: recorded with the generator machine that the parse program replaced.
+DAMAGED_STREAM_DIGEST = "d8e3706b9b180874f00603623113d6936cc7215531cd4d1ec9d4f55f444e0111"
+
+
+def test_damaged_stream_outcomes_match_recorded_digest():
+    """Frames, extents and typed errors of damaged streams, pinned by a digest.
+
+    Every registry direction at levels 0-4 (seeds 0-3) sends three messages;
+    the stream and ten damaged copies of it (bit flips, truncations) are fed
+    whole and one byte at a time, with no budget and with one that refuses
+    most declarations, backlogs and feeds of several messages.  Error texts,
+    offsets and nodes of the stream decoder are pinned only here and by the
+    determinism gates.
+    """
+    tight = ResourceBudget(max_stream_bytes=300, max_declared_bytes=9,
+                           max_steps_per_feed=2)
+    outcomes = []
+    for setup in registry.setups():
+        for direction, graph_factory, generator in setup.directions():
+            for level in range(5):
+                for seed in range(4):
+                    graph = graph_factory()
+                    if level:
+                        graph = Obfuscator(seed=seed).obfuscate(graph, level).graph
+                    codec = WireCodec(graph, seed=seed)
+                    rng = Random(f"{setup.key}/{direction}/{level}/{seed}")
+                    stream = b"".join(codec.serialize(generator(rng)) for _ in range(3))
+                    streams = [stream]
+                    for _ in range(5):
+                        flipped = bytearray(stream)
+                        for _ in range(rng.randint(1, 4)):
+                            flipped[rng.randrange(len(flipped))] ^= 1 << rng.randrange(8)
+                        streams.append(bytes(flipped))
+                        streams.append(stream[:rng.randrange(1, len(stream))])
+                    for data in streams:
+                        for chunks in ([data], [data[i:i + 1] for i in range(len(data))]):
+                            for budget in (None, tight):
+                                outcomes.append(_stream_outcome(graph, chunks, budget))
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == DAMAGED_STREAM_DIGEST
 
 
 def test_buffered_message_waits_for_the_bytes_that_end_it():

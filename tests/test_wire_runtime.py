@@ -32,7 +32,6 @@ from repro.transforms import Obfuscator
 from repro.transforms.split import SplitAdd
 from repro.wire import WireCodec, Window, boundaries, serialize
 from repro.wire.parser import Parser, parse
-from repro.wire.window import OpenWindow
 from repro.wire.serializer import Serializer, serialize_with_spans
 
 
@@ -92,22 +91,6 @@ class TestWindow:
         window = Window(b"abcd")
         window.skip(2)
         assert window.read_rest() == b"cd"
-
-    def test_open_window_refuses_answers_past_its_end(self):
-        window = OpenWindow(b"abcdef", 0, 4)
-        assert not window.at_end()
-        assert window.starts_with(b"abcd")
-        assert not window.starts_with(b"abx")
-        with pytest.raises(ParseError):
-            window.starts_with(b"abcde")
-        with pytest.raises(ParseError):
-            window.read_rest()
-        assert window.subwindow(2).read_rest() == b"ab"
-        assert window.read(2) == b"cd"
-        with pytest.raises(ParseError):
-            window.at_end()
-        with pytest.raises(ParseError):
-            window.read(1)
 
 
 def _registry_dialects():
