@@ -107,7 +107,7 @@ class _SpecEmitter:
             else getattr(graph, "plan_fingerprint", None)
         )
         self.nodes = index.nodes
-        self.position = {name: i for i, name in enumerate(index.by_name)}
+        self.position = index.position
         self.node_map = index.by_name
         self.length_sources = index.length_sources
         self.counter_sources = index.counter_sources

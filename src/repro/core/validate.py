@@ -8,16 +8,17 @@ they are needed, derived fields must not clash with user data, ...).
 
 Both original specifications and transformed graphs are validated: every
 transformation is required to keep the graph valid, which is checked by the
-transformation engine and by the test suite.  The engine validates the whole
-graph after every step, so validation is one pre-order walk (nodes, name
-positions, LENGTH/COUNTER targets) and two passes over its node list: a
-bottom-up pass computes subtree ends, static sizes and greedy flags, and a
-top-down pass runs the per-node rules, the window layout's tail flags and the
-codec contract's per-node checks.  Rule order decides which error a graph
-breaking several rules reports: duplicate names first, then the per-node
-rules node by node in pre-order, then shared LENGTH targets, then window
-layout, then the codec contract; the top-down pass raises a per-node error at
-once and holds the first window and contract errors until it ends.
+transformation engine and by the test suite.  Validation is one pre-order walk
+(nodes, name positions, LENGTH/COUNTER targets) and two passes over its node
+list: a bottom-up pass computes subtree ends, static sizes and greedy flags,
+and a top-down pass runs the per-node rules, the window layout and the codec
+contract's per-node checks.  After an engine step that only appends to a codec
+chain or sets ``mirrored``, :func:`recheck_node` re-runs only the rules
+reading those.  Rule order decides which error a graph breaking several rules
+reports: duplicate names first, then the per-node rules node by node in
+pre-order, then shared LENGTH targets, then window layout, then the codec
+contract; the top-down pass raises a per-node error at once and holds the
+first window and contract errors until it ends.
 
 :func:`lookup_index` also returns what the walk and the bottom-up pass hold,
 as a :class:`GraphIndex`: the only place where the codecs' structural facts
@@ -57,6 +58,7 @@ _TERMINAL_BOUNDARIES = (_FIXED, _DELIMITED, _LENGTH, _END)
 _SEQUENCE_BOUNDARIES = (_DELEGATED, _LENGTH, _END)
 _REPETITION_BOUNDARIES = (_DELIMITED, _LENGTH, _END, _COUNTER)
 _VARIABLE_ARITY = (_REPETITION, _TABULAR, _OPTIONAL)
+_WINDOW_ERROR = "greedy node {!r} is not in tail position of its window"
 
 
 class GraphIndex(NamedTuple):
@@ -74,9 +76,17 @@ class GraphIndex(NamedTuple):
     counter_sources: dict[str, Node]
     #: :func:`~repro.core.graph.static_size` of each node of ``nodes``.
     static_sizes: list[int | None]
-    #: :func:`~repro.core.graph.is_greedy` of the root: its parse consults the
-    #: end of the stream, so its messages do not frame back to back.
-    greedy: bool
+    #: every node name mapped to its position in ``nodes``.
+    position: dict[str, int]
+    #: one past each node's subtree in ``nodes``.
+    end: list[int]
+    #: :func:`~repro.core.graph.is_greedy` of each node of ``nodes``.
+    greedy_flags: list[bool]
+
+    @property
+    def greedy(self) -> bool:
+        """Whether the root is greedy, so its messages do not frame back to back."""
+        return self.greedy_flags[0]
 
 
 def validate_graph(graph: FormatGraph) -> None:
@@ -90,7 +100,6 @@ def lookup_index(graph: FormatGraph) -> GraphIndex:
     nodes, position, ref_targets, shared_length, length_sources, counter_sources = (
         _walk(graph))
     end, sizes, greedy = _bottom_up(nodes)
-    tail_allowed = [True] + [False] * (len(nodes) - 1)
     window_error = contract_error = None
     presences = []
     origins = set()  # step tuples of every origin
@@ -147,16 +156,8 @@ def lookup_index(graph: FormatGraph) -> GraphIndex:
                 presences.append(presence)
         if node.synthesis is not None or node.mirrored or node.codec_chain:
             _check_obfuscation_metadata(node, sizes[index])
-        # Window layout: a greedy node must sit in tail position, or the parser
-        # would swallow what follows it.  Only a Sequence's last child and an
-        # Optional's child inherit the tail position; a node opening its own
-        # window (Length boundary, mirrored region) resets it for its children.
-        if greedy[index] and not tail_allowed[index] and window_error is None:
-            window_error = f"greedy node {node.name!r} is not in tail position of its window"
-        if node_type is _SEQUENCE or node_type is _OPTIONAL:
-            tail_allowed[position[children[-1].name]] = (
-                kind is _LENGTH or node.mirrored or tail_allowed[index]
-            )
+        if greedy[index] and window_error is None and not _in_tail(node, nodes[0]):
+            window_error = _WINDOW_ERROR.format(node.name)
         origin = node.origin
         if origin is not None:
             steps = origin.steps
@@ -176,7 +177,31 @@ def lookup_index(graph: FormatGraph) -> GraphIndex:
         raise GraphError(contract_error)
     _check_codec_contract(nodes, origins, values, syntheses)
     return GraphIndex(dict(zip(position, nodes)), ref_targets.union(presences), nodes,
-                      length_sources, counter_sources, sizes, greedy[0])
+                      length_sources, counter_sources, sizes, position, end, greedy)
+
+
+def recheck_node(index: GraphIndex, node: Node) -> GraphIndex:
+    """What :func:`lookup_index` raises or returns once a graph that gave
+    ``index`` has an operation appended to ``node``'s codec chain or
+    ``node.mirrored`` set.  Only the rules reading those run again: the
+    metadata rule, then greedy flags up the parents while they change, and
+    the window rule where one rose, reporting the topmost breach (tail flags
+    below ``node`` can only widen)."""
+    position, flags = index.position, index.greedy_flags.copy()
+    _check_obfuscation_metadata(node, index.static_sizes[position[node.name]])
+    error = None
+    while node is not None:
+        at = position[node.name]
+        flag = _greedy(node, at, flags, index.end)
+        if flag == flags[at]:
+            break
+        flags[at] = flag
+        if flag and not _in_tail(node, index.nodes[0]):
+            error = _WINDOW_ERROR.format(node.name)  # the topmost one is reported
+        node = node.parent
+    if error is not None:
+        raise GraphError(error)
+    return index._replace(greedy_flags=flags)
 
 
 def _walk(graph: FormatGraph):
@@ -220,11 +245,7 @@ def _bottom_up(nodes: list[Node]):
     """Subtree ends, :func:`~repro.core.graph.static_size` and
     :func:`~repro.core.graph.is_greedy` of the pre-order ``nodes``, children
     first, on any tree the walk accepts.  ``end[i]`` is one past node ``i``'s
-    subtree, so its children sit at ``i + 1``, ``end[i + 1]``, ...
-
-    A mirrored node is greedy exactly when its boundary is END: the parser
-    extracts its region first, so the region, not the node's children,
-    decides how far it reads."""
+    subtree, so its children sit at ``i + 1``, ``end[i + 1]``, ..."""
     end = list(range(1, len(nodes) + 1))
     sizes: list[int | None] = [None] * len(nodes)
     greedy = [False] * len(nodes)
@@ -232,38 +253,63 @@ def _bottom_up(nodes: list[Node]):
         node = nodes[index]
         node_type = node.type
         kind = node.boundary.kind
-        open_ended = kind is _END or kind is _DELEGATED  # can take a window's rest
         child = index + 1
         if node_type is _SEQUENCE:
-            size, any_greedy = 0, False
+            size = 0
             for _ in node.children:
                 child_size = sizes[child]
                 size = None if size is None or child_size is None else size + child_size
-                any_greedy = any_greedy or greedy[child]
                 child = end[child]
             sizes[index] = None if kind is _FIXED and node.boundary.size != size else size
-            greedy[index] = open_ended and any_greedy
         else:
             for _ in node.children:
                 child = end[child]
-            if node_type is _TERMINAL:
-                sizes[index] = node.boundary.size if kind is _FIXED else None
-                greedy[index] = open_ended
-            elif node_type is _REPETITION:
-                greedy[index] = kind is _END
-            elif node_type is _OPTIONAL:  # its first child follows it in pre-order
-                greedy[index] = open_ended and (
-                    node.presence_ref is None or (child > index + 1 and greedy[index + 1])
-                )
-        if open_ended and node.mirrored:  # no other mirrored node is greedy
-            greedy[index] = kind is _END
+            if node_type is _TERMINAL and kind is _FIXED:
+                sizes[index] = node.boundary.size
         end[index] = child
+        greedy[index] = _greedy(node, index, greedy, end)
     return end, sizes, greedy
 
 
 # ---------------------------------------------------------------------------
 # individual rules
 # ---------------------------------------------------------------------------
+
+
+def _greedy(node: Node, index: int, greedy: list[bool], end: list[int]) -> bool:
+    """:func:`~repro.core.graph.is_greedy` of ``nodes[index]`` from its
+    children's flags.  A mirrored node is greedy exactly when its boundary is
+    END: the parser extracts its region first, so the region decides."""
+    kind = node.boundary.kind
+    if kind is not _END and kind is not _DELEGATED:  # cannot take a window's rest
+        return False
+    if node.mirrored:
+        return kind is _END
+    node_type = node.type
+    if node_type is _SEQUENCE:
+        child = index + 1
+        for _ in node.children:
+            if greedy[child]:
+                return True
+            child = end[child]
+        return False
+    if node_type is _OPTIONAL:  # its first child follows it in pre-order
+        return node.presence_ref is None or (bool(node.children) and greedy[index + 1])
+    return node_type is _TERMINAL or (node_type is _REPETITION and kind is _END)
+
+
+def _in_tail(node: Node, root: Node) -> bool:
+    """Window layout: a greedy node must sit in tail position, or the parser
+    would swallow what follows it.  Only a sequence's last child and an
+    optional's child inherit the tail position; a node opening its own window
+    (Length boundary, mirrored region) gives it to them."""
+    if node is root:
+        return True
+    parent = node.parent
+    return (parent.children[-1] is node
+            and (parent.type is _SEQUENCE or parent.type is _OPTIONAL)
+            and (parent.boundary.kind is _LENGTH or parent.mirrored
+                 or _in_tail(parent, root)))
 
 
 def _check_length_field(node: Node) -> None:

@@ -10,12 +10,15 @@ Because transformations create new nodes, later passes operate on a larger
 graph, which reproduces the super-linear growth of the number of applied
 transformations reported in Tables III and IV.
 
-The engine validates its private clone in full after every step and keeps
-the :class:`~repro.core.validate.GraphIndex` that
+The engine validates its private clone after every step and keeps the
+:class:`~repro.core.validate.GraphIndex` that
 :func:`~repro.core.validate.lookup_index` returns on it until the next
 rewrite: the sweeps' ``find`` and the transformations' ``is_ref_target`` and
-``fresh_name`` answer from it without a scan.  The index is dropped before a
-result is returned.
+``fresh_name`` answer from it without a scan.  A ConstAdd, ConstSub, ConstXor
+or ReadFromEnd step changes one attribute of its target and is only rechecked
+(:func:`~repro.core.validate.recheck_node`); the first step and any other are
+validated in full, and so is the finished graph unless its last step was,
+before the index is dropped and a result returned.
 """
 
 from __future__ import annotations
@@ -25,10 +28,15 @@ from random import Random
 
 from ..core.errors import NotApplicableError, TransformError
 from ..core.graph import FormatGraph
-from ..core.validate import lookup_index
+from ..core.validate import lookup_index, recheck_node
 from .base import Transformation, TransformationRecord
+from .const import ConstAdd, ConstSub, ConstXor
+from .mirror import ReadFromEnd
 from .plan import ObfuscationPlan, extract_plan
 from .registry import default_transformations
+
+#: Steps that change only their target's codec chain or ``mirrored`` flag.
+_RECHECKED = frozenset((ConstAdd, ConstSub, ConstXor, ReadFromEnd))
 
 
 @dataclass
@@ -100,9 +108,10 @@ class Obfuscator:
             raise TransformError(f"the number of passes cannot be negative ({passes})")
         working = graph.clone()
         result = ObfuscationResult(original=graph, graph=working, passes=passes)
+        self._rechecked: Transformation | None = None  # the last step's, if rechecked
         for _ in range(passes):
             self._run_pass(working, result.records)
-        working.lookup_index = None
+        self._finish(working)
         return result
 
     def obfuscate_node_budget(self, graph: FormatGraph, budget: int) -> ObfuscationResult:
@@ -115,10 +124,11 @@ class Obfuscator:
         """
         working = graph.clone()
         result = ObfuscationResult(original=graph, graph=working, passes=0)
+        self._rechecked = None
         while (len(result.records) < budget
                and self._run_pass(working, result.records, budget)):
             result.passes += 1
-        working.lookup_index = None
+        self._finish(working)
         return result
 
     # -- internals ------------------------------------------------------------
@@ -152,19 +162,35 @@ class Obfuscator:
         if not applicable:
             return None
         transformation = self._rng.choice(applicable)
+        index = graph.lookup_index
         try:
             # Transformation.apply drops the graph's cached codec plan after
             # rewriting it in place (see Transformation.__init_subclass__).
             record = transformation.apply(graph, node, self._rng)
         except NotApplicableError:
             return None
+        if type(transformation) not in _RECHECKED:  # exact: a subclass may rewrite more
+            index = None
+        self._validate(graph, transformation, index, node)
+        return record
+
+    def _validate(self, graph: FormatGraph, transformation: Transformation,
+                  index=None, node=None) -> None:
+        """Keep ``graph``'s index: rechecked at ``node`` from ``index``, or in full."""
         try:
-            graph.lookup_index = lookup_index(graph)
+            graph.lookup_index = (lookup_index(graph) if index is None
+                                  else recheck_node(index, node))
         except Exception as exc:
             raise TransformError(
                 f"transformation {transformation.name} left the graph invalid: {exc}"
             ) from exc
-        return record
+        self._rechecked = None if index is None else transformation
+
+    def _finish(self, graph: FormatGraph) -> None:
+        """Validate in full unless the last step was, then drop the index."""
+        if self._rechecked is not None:
+            self._validate(graph, self._rechecked)
+        graph.lookup_index = None
 
 
 def obfuscate(graph: FormatGraph, passes: int = 1, *, seed: int = 0,

@@ -33,11 +33,8 @@ class ReadFromEnd(Transformation):
     def is_applicable(self, graph: FormatGraph, node: Node) -> bool:
         if node.mirrored or node.is_pad:
             return False
-        if node.parent is None:
-            # Mirroring the root would require knowing the total message size
-            # up-front; the root's extent is the whole buffer, so allow it only
-            # when the extent is self-delimiting.
-            return parse_window_known(node)
+        # Mirroring the root would require knowing the total message size
+        # up-front, so the root, like any node, needs a self-delimiting extent.
         return parse_window_known(node)
 
     def draw(self, graph: FormatGraph, node: Node, rng: Random) -> TransformationRecord:

@@ -35,7 +35,7 @@ from repro.core import (
 )
 from repro.core.builder import assign_origins
 from repro.core.graph import FormatGraph, is_greedy, parse_window_known, static_size
-from repro.core.validate import _bottom_up, _walk
+from repro.core.validate import GraphIndex, _bottom_up, _walk, lookup_index, recheck_node
 from repro.protocols import registry
 from repro.transforms import Obfuscator
 
@@ -704,3 +704,82 @@ def _check_bottom_up(graph: FormatGraph) -> int:
             continue
         assert greedy[index] == expected
     return len(nodes)
+
+
+#: The codec-chain edits of :class:`TestRecheckNode`: a bytewise XOR, a
+#: 1-byte ADD and a 2-byte SUB.
+_CODEC_OPS = (ValueOp(ValueOpKind.XOR, 0x5A, bytewise=True),
+              ValueOp(ValueOpKind.ADD, 7, width=1),
+              ValueOp(ValueOpKind.SUB, 300, width=2))
+
+
+class TestRecheckNode:
+    """:func:`recheck_node` gives :func:`lookup_index`'s verdict, and on a
+    valid graph its index, after every single edit it serves, on every node
+    of the valid graphs of :class:`TestValidationCorpus`."""
+
+    def test_every_edit_gets_the_full_validators_verdict(self):
+        edits = {"mirror": [0, 0], "codec": [0, 0]}  # [edits, invalid ones]
+        for setup in registry.setups():
+            for direction, _, _ in setup.directions():
+                for level in range(4):
+                    for seed in range(6):
+                        graph = Obfuscator(seed=seed).obfuscate(
+                            setup.reference_graph(direction), level).graph
+                        _check_every_edit(graph, edits)
+        assert edits == {"mirror": [5646, 1924], "codec": [21462, 17262]}
+
+    @pytest.mark.parametrize("in_tail", [True, False], ids=["in-tail", "before-a-field"])
+    def test_a_mirrored_end_sequence_raises_the_flags_above_it(self, in_tail):
+        """Mirroring an END sequence of fixed fields makes it and the
+        sequences around it greedy.  In tail position the root's flag, the
+        plan's framing, rises with them; before a field the topmost of them
+        reports the window error, as the full validation does."""
+        mid = sequence("mid", [sequence("inner", [uint("b", 1)], boundary=Boundary.end())])
+        fields = [uint("a", 1), mid] if in_tail else [mid, uint("a", 1)]
+        graph = build_graph(sequence("root", fields), "demo")
+        index = lookup_index(graph)
+        inner = graph.require("inner")
+        inner.mirrored = True
+        if in_tail:
+            kept = recheck_node(index, inner)
+            assert kept == lookup_index(graph)
+            # root, a, mid, inner, b
+            assert kept.greedy_flags == [True, False, True, True, False]
+            assert not index.greedy
+        else:
+            expected = _exact("greedy node 'mid' is not in tail position of its window")
+            with pytest.raises(GraphError, match=expected):
+                validate_graph(graph)
+            with pytest.raises(GraphError, match=expected):
+                recheck_node(index, inner)
+
+
+def _check_every_edit(graph: FormatGraph, edits: dict) -> None:
+    """Set ``mirrored`` on each node that is not, and append each of
+    :data:`_CODEC_OPS` to each node's chain, one edit at a time; compare
+    :func:`recheck_node`'s outcome with a fresh :func:`lookup_index`."""
+    index = lookup_index(graph)
+    for node in index.nodes:
+        chain = node.codec_chain
+        if not node.mirrored:
+            node.mirrored = True
+            _compare(index, graph, node, edits["mirror"])
+            node.mirrored = False
+        for op in _CODEC_OPS:
+            node.codec_chain = chain + (op,)
+            _compare(index, graph, node, edits["codec"])
+        node.codec_chain = chain
+
+
+def _compare(index: GraphIndex, graph: FormatGraph, node: Node, counts: list) -> None:
+    try:
+        fresh = lookup_index(graph)
+    except GraphError as exc:
+        with pytest.raises(GraphError) as caught:
+            recheck_node(index, node)
+        assert str(caught.value) == str(exc), node.name
+        counts[1] += 1
+    else:
+        assert recheck_node(index, node) == fresh, node.name
+    counts[0] += 1

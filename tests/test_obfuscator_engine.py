@@ -18,9 +18,17 @@ from repro.core import (
     ValueKind,
     validate_graph,
 )
-from repro.core.builder import build_graph, bytes_field, sequence, uint
+from repro.core.builder import build_graph, bytes_field, remaining_bytes, sequence, uint
+from repro.core.validate import GraphIndex, lookup_index
 from repro.protocols import http, modbus, registry
-from repro.transforms import Obfuscator, Transformation, family, obfuscate
+from repro.transforms import (
+    ConstAdd,
+    Obfuscator,
+    ReadFromEnd,
+    Transformation,
+    family,
+    obfuscate,
+)
 from repro.wire import WireCodec
 
 
@@ -142,6 +150,26 @@ class TestObfuscator:
         digest = hashlib.sha256("\n".join(fingerprints).encode()).hexdigest()
         assert (len(fingerprints), digest) == (
             40, "feadb3e6f47fdd498396e32160f18a3391f40c347af2b88f37f78cd3aa9f722d")
+
+    @pytest.mark.parametrize("level, digest", [
+        (1, "f0b8d27a069756f0270eb2a971fa13c24ef42f74ebdc6be9755caff68897b4a2"),
+        (3, "da65a48c777833247fab5607f6bb50180d5ae1ed53a3f5552c55a9fdb44e5bb8"),
+        (4, "5b269903ea5e7a2812d8aa5b161baee63c8ca157cdfca04fd54545b66d5535fe"),
+    ])
+    def test_shallow_and_deep_derivations_match_recorded_digests(self, level, digest):
+        """Plan fingerprints of every registry direction at levels 1, 3 and
+        4, seeds 0-4, recorded while the engine validated every step in
+        full: a drift that shows only on shallower or deeper graphs than
+        level 2's moves one of these digests."""
+        fingerprints = [
+            Obfuscator(seed=seed).obfuscate(setup.reference_graph(direction), level)
+            .plan().fingerprint
+            for setup in registry.setups()
+            for direction, _, _ in setup.directions()
+            for seed in range(5)
+        ]
+        assert len(fingerprints) == 40
+        assert hashlib.sha256("\n".join(fingerprints).encode()).hexdigest() == digest
 
 
 class TestObfuscatedRoundTrips:
@@ -299,3 +327,71 @@ class TestLookupIndex:
             graph.root.add_child(Node("added_by_hand", NodeType.TERMINAL, Boundary.fixed(1),
                                       value_kind=ValueKind.BYTES, is_pad=True))
             assert graph.require("added_by_hand").parent is graph.root
+
+
+class TestFirstStepValidatesInFull:
+    """A step is only rechecked after a full validation: an invalid input
+    graph fails on the first step, a Const or ReadFromEnd one too."""
+
+    @pytest.mark.parametrize("transformation, root, message", [
+        (ConstAdd, sequence("root", [uint("a", 1), uint("a", 1)]),
+         "duplicate node name 'a' in graph 'demo'"),
+        (ReadFromEnd, sequence("root", [remaining_bytes("rest"), uint("b", 1)]),
+         "greedy node 'rest' is not in tail position of its window"),
+    ], ids=["duplicate-name", "greedy-node-before-the-tail"])
+    def test_an_invalid_input_graph_fails_on_the_first_step(self, transformation, root,
+                                                             message):
+        graph = build_graph(root, "demo", validate=False)
+        expected = f"transformation {transformation.name} left the graph invalid: {message}"
+        with pytest.raises(TransformError, match=f"^{re.escape(expected)}$"):
+            Obfuscator([transformation()], seed=0).obfuscate(graph, 1)
+
+
+class _FreshIndexObfuscator(Obfuscator):
+    """After every engine step, compares the index the engine keeps with a
+    fresh :func:`lookup_index` of the graph, field by field."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.checked = 0
+
+    def _apply_random(self, graph, node):
+        record = super()._apply_random(graph, node)
+        kept = graph.lookup_index
+        if record is not None:
+            fresh = lookup_index(graph)
+            for field in GraphIndex._fields:
+                assert getattr(kept, field) == getattr(fresh, field), field
+            assert list(kept.by_name) == list(fresh.by_name)
+            assert list(kept.position) == list(fresh.position)
+            self.checked += 1
+        return record
+
+
+def test_kept_index_equals_a_fresh_lookup_at_every_step():
+    """Every step of every registry direction at levels 1-4 with seeds 0-11,
+    and of a 60-step budget with seeds 0-5, leaves the engine an index equal
+    to a fresh one, whether the step was validated in full or only
+    rechecked; the 432 plan fingerprints are those recorded while every
+    step was validated in full."""
+    fingerprints, checked, rechecked = [], 0, 0
+    for setup in registry.setups():
+        for direction, _, _ in setup.directions():
+            graph = setup.reference_graph(direction)
+            runs = [(seed, level, None) for level in range(1, 5) for seed in range(12)]
+            runs += [(seed, None, 60) for seed in range(6)]
+            for seed, level, budget in runs:
+                obfuscator = _FreshIndexObfuscator(seed=seed)
+                result = (obfuscator.obfuscate(graph, level) if budget is None
+                          else obfuscator.obfuscate_node_budget(graph, budget))
+                assert obfuscator.checked == result.applied_count
+                checked += obfuscator.checked
+                rechecked += sum(count for name, count in
+                                 result.count_by_transformation().items()
+                                 if name in ("ConstAdd", "ConstSub", "ConstXor",
+                                             "ReadFromEnd"))
+                fingerprints.append(result.plan().fingerprint)
+    digest = hashlib.sha256("\n".join(fingerprints).encode()).hexdigest()
+    assert (len(fingerprints), digest) == (
+        432, "45223789c129d5b940e77726b075dc4b2cec42e4bcbd97aa7a52a9e44d4f9813")
+    assert checked > 20_000 and rechecked > checked // 2
